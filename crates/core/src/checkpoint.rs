@@ -1,9 +1,10 @@
-//! Mid-run checkpoints: a deterministic, versioned capture of one tenant's
+//! Checkpoints: a deterministic, versioned capture of one tenant's
 //! [`RangeState`](crate::state::RangeState) that can be resumed against the
-//! same shared [`CompiledModel`] — ROADMAP item 2's missing half.
+//! same shared [`CompiledModel`].
 //!
-//! [`RangeSnapshot`](crate::RangeSnapshot) is a *restart-from-zero* recipe;
-//! a [`Checkpoint`] is a *mid-run* capture. Because every source of
+//! A [`Checkpoint`] is the one way to rewind or restart a tenant. Taken at
+//! step 0 it is a *restart-from-zero* recipe (resume replays nothing);
+//! taken mid-run it is a *mid-run* capture. Because every source of
 //! randomness in a range is the seeded fault RNG and the co-simulation is
 //! otherwise a pure function of its inputs, the checkpoint does not need to
 //! deep-copy live device state (virtual IED apps hold closures and shared
@@ -25,11 +26,12 @@
 //! The serialized form ([`Checkpoint::to_json`]) is versioned: a checkpoint
 //! whose [`CHECKPOINT_VERSION`] does not match the running code is rejected
 //! with [`CheckpointError::VersionMismatch`], and one taken against a
-//! different compiled model with [`CheckpointError::ModelMismatch`].
+//! model compiled from different bundle content (see
+//! [`CompiledModel::fingerprint`]) with [`CheckpointError::ModelMismatch`].
 
 use crate::fingerprint::fnv1a_64;
 use crate::model::CompiledModel;
-use crate::range::{CyberRange, RangeBuilder, RangeError};
+use crate::range::{CyberRange, RangeError};
 use crate::state::{RangeSettings, RangeState};
 use sgcr_kvstore::{Entry, Value};
 use sgcr_obs::{json, Telemetry};
@@ -209,17 +211,8 @@ impl Checkpoint {
                 expected: self.model_fingerprint,
             });
         }
-        let mut builder = RangeBuilder::from_model(model)
-            .telemetry(telemetry)
-            .step_stats_capacity(self.settings.step_stats_capacity)
-            .solve_errors_capacity(self.settings.solve_errors_capacity);
-        if let Some(interval) = self.settings.interval {
-            builder = builder.interval(interval);
-        }
-        if let Some(seed) = self.settings.fault_seed {
-            builder = builder.fault_seed(seed);
-        }
-        let mut range = builder.build().map_err(CheckpointError::Instantiate)?;
+        let mut range = CyberRange::new(model, self.settings.clone(), telemetry)
+            .map_err(CheckpointError::Instantiate)?;
         for _ in 0..self.steps {
             range.step();
         }

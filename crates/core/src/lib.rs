@@ -23,7 +23,9 @@
 //! that artifact ([`CyberRange::instantiate`]) yields an *operational*
 //! cyber range ready for interactive experiments — cheaply enough that one
 //! compiled model can back thousands of concurrent tenant ranges (see the
-//! [`RangeSnapshot`] restart recipe and the `sgcr-farm` crate).
+//! `sgcr-farm` crate). A [`Checkpoint`] captures a tenant's replay position
+//! and is the one way to restart or rewind it: taken at step 0 it is a
+//! restart-from-zero recipe.
 //!
 //! # Examples
 //!
@@ -68,8 +70,8 @@ pub use keymap::{
 };
 pub use model::{CompiledModel, CompiledPlc, CompiledScada};
 pub use range::{
-    CyberRange, RangeBuilder, RangeError, RangeSnapshot, SgmlBundle, StepStats,
-    DEFAULT_SOLVE_ERRORS_CAPACITY, DEFAULT_STEP_STATS_CAPACITY,
+    CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats, DEFAULT_SOLVE_ERRORS_CAPACITY,
+    DEFAULT_STEP_STATS_CAPACITY,
 };
 pub use sgml::ied_config::{IedConfig, IedConfigError};
 pub use sgml::plc_config::{

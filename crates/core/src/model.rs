@@ -18,7 +18,6 @@
 use crate::compile::ied::compile_ied;
 use crate::compile::network::{compile_network, NetworkPlan};
 use crate::compile::power::{compile_power, PowerCompilation};
-use crate::fingerprint::Fingerprint;
 use crate::range::{RangeError, SgmlBundle};
 use crate::sgml::ied_config::IedConfig;
 use crate::sgml::plc_config::{PlcConfig, PlcLogic};
@@ -99,6 +98,7 @@ pub struct CompiledModel {
     /// All diagnostics accumulated while compiling (warnings only — an
     /// error-severity diagnostic fails compilation).
     pub diagnostics: Vec<Diagnostic>,
+    fingerprint: u64,
 }
 
 impl CompiledModel {
@@ -337,6 +337,7 @@ impl CompiledModel {
             plcs,
             scada,
             diagnostics,
+            fingerprint: bundle.fingerprint(),
         })
     }
 
@@ -350,42 +351,12 @@ impl CompiledModel {
         Ok(Arc::new(CompiledModel::compile(bundle)?))
     }
 
-    /// A structural fingerprint of the compiled artifact: the model summary
-    /// plus the names that drive instantiation (hosts, switches, IEDs, PLCs,
-    /// SCADA host, power elements). Two models that fingerprint equal stamp
-    /// out behaviourally identical tenants, which is the compatibility check
-    /// a [`Checkpoint`](crate::Checkpoint) performs before resuming — a
-    /// checkpoint taken against one model must not silently resume against
-    /// another.
+    /// The content fingerprint ([`SgmlBundle::fingerprint`]) of the bundle
+    /// this model was compiled from. A [`Checkpoint`](crate::Checkpoint)
+    /// records it and refuses to resume against a model whose fingerprint
+    /// differs — any edit to any model file counts.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.update(self.summary().as_bytes());
-        for host in &self.plan.hosts {
-            fp.update(host.name.as_bytes());
-            fp.update(host.ip.to_string().as_bytes());
-        }
-        for sw in &self.plan.switches {
-            fp.update(sw.name.as_bytes());
-        }
-        for ied in &self.ieds {
-            fp.update(ied.name.as_bytes());
-        }
-        for plc in &self.plcs {
-            fp.update(plc.name.as_bytes());
-        }
-        if let Some(scada) = &self.scada {
-            fp.update(scada.host.as_bytes());
-        }
-        for bus in &self.power.bus {
-            fp.update(bus.name.as_bytes());
-        }
-        for line in &self.power.line {
-            fp.update(line.name.as_bytes());
-        }
-        for switch in &self.power.switch {
-            fp.update(switch.name.as_bytes());
-        }
-        fp.finish()
+        self.fingerprint
     }
 
     /// One-line inventory of the compiled artifact.

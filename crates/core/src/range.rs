@@ -127,44 +127,6 @@ pub struct StepStats {
     pub iterations: usize,
 }
 
-/// A deterministic restart recipe for a range: the shared model handle plus
-/// the tenant's instantiation settings (interval, retention bounds, fault
-/// seed).
-///
-/// Because the whole co-simulation is deterministic under a fixed fault
-/// seed, re-instantiating from a snapshot and re-running the same exercise
-/// replays the original journal byte-for-byte — which is what an "instant
-/// exercise restart" needs. Snapshots are cheap (`Arc` bump + a few
-/// integers) and `Clone`.
-#[derive(Debug, Clone)]
-pub struct RangeSnapshot {
-    model: Arc<CompiledModel>,
-    settings: RangeSettings,
-}
-
-impl RangeSnapshot {
-    /// The shared compiled model this snapshot restarts from.
-    pub fn model(&self) -> &Arc<CompiledModel> {
-        &self.model
-    }
-
-    /// Builds a fresh range at generation zero from this snapshot, with its
-    /// own telemetry handle (pass [`Telemetry::disabled()`] when journals
-    /// are not needed).
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`].
-    pub fn instantiate(&self, telemetry: Telemetry) -> Result<CyberRange, RangeError> {
-        let state = RangeState::instantiate(&self.model, &self.settings, telemetry)?;
-        Ok(CyberRange {
-            model: self.model.clone(),
-            settings: self.settings.clone(),
-            state,
-        })
-    }
-}
-
 /// A generated, operational smart grid cyber range: one tenant's
 /// [`RangeState`] bound to its `Arc`-shared [`CompiledModel`].
 ///
@@ -219,19 +181,9 @@ impl DerefMut for CyberRange {
 /// # }
 /// ```
 pub struct RangeBuilder {
-    source: Source,
-    interval: Option<SimDuration>,
+    model: Arc<CompiledModel>,
+    settings: RangeSettings,
     telemetry: Telemetry,
-    step_stats_capacity: usize,
-    solve_errors_capacity: usize,
-    fault_seed: Option<u64>,
-}
-
-enum Source {
-    /// Compile this bundle first (deprecated single-tenant path).
-    Bundle(Box<SgmlBundle>),
-    /// Instantiate straight from a shared compiled model.
-    Model(Arc<CompiledModel>),
 }
 
 impl RangeBuilder {
@@ -241,36 +193,16 @@ impl RangeBuilder {
     /// [default](DEFAULT_STEP_STATS_CAPACITY) retention bounds.
     pub fn from_model(model: Arc<CompiledModel>) -> RangeBuilder {
         RangeBuilder {
-            source: Source::Model(model),
-            interval: None,
+            model,
+            settings: RangeSettings::default(),
             telemetry: Telemetry::disabled(),
-            step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
-            solve_errors_capacity: DEFAULT_SOLVE_ERRORS_CAPACITY,
-            fault_seed: None,
-        }
-    }
-
-    /// Starts a builder over a model bundle. The bundle is cloned and
-    /// compiled privately inside [`build`](RangeBuilder::build) — every
-    /// range built this way pays the full XML/ST compilation cost.
-    #[deprecated(
-        note = "compile once with `CompiledModel::shared(&bundle)` and use `RangeBuilder::from_model` so ranges share the artifact"
-    )]
-    pub fn new(bundle: &SgmlBundle) -> RangeBuilder {
-        RangeBuilder {
-            source: Source::Bundle(Box::new(bundle.clone())),
-            interval: None,
-            telemetry: Telemetry::disabled(),
-            step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
-            solve_errors_capacity: DEFAULT_SOLVE_ERRORS_CAPACITY,
-            fault_seed: None,
         }
     }
 
     /// Overrides the power-flow step interval (takes precedence over the
     /// Power Extra config).
     pub fn interval(mut self, interval: SimDuration) -> RangeBuilder {
-        self.interval = Some(interval);
+        self.settings.interval = Some(interval);
         self
     }
 
@@ -286,7 +218,7 @@ impl RangeBuilder {
     /// (oldest evicted first; minimum 1). [`RangeState::steps_total`] keeps
     /// the lifetime count regardless.
     pub fn step_stats_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.step_stats_capacity = capacity.max(1);
+        self.settings.step_stats_capacity = capacity.max(1);
         self
     }
 
@@ -294,7 +226,7 @@ impl RangeBuilder {
     /// minimum 1). [`RangeState::solve_errors_total`] keeps the lifetime
     /// count regardless.
     pub fn solve_errors_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.solve_errors_capacity = capacity.max(1);
+        self.settings.solve_errors_capacity = capacity.max(1);
         self
     }
 
@@ -303,35 +235,18 @@ impl RangeBuilder {
     /// with the same seed and the same fault profiles replay byte-identical
     /// journals. Unseeded ranges use seed 0.
     pub fn fault_seed(mut self, seed: u64) -> RangeBuilder {
-        self.fault_seed = Some(seed);
+        self.settings.fault_seed = Some(seed);
         self
     }
 
-    /// Builds the operational cyber range. From a shared model this is the
-    /// cheap per-tenant path; from a bundle it runs the complete SG-ML
-    /// Processor pipeline of the paper's Figures 2–3 first.
+    /// Builds the operational cyber range: the cheap per-tenant path (one
+    /// power-model clone plus virtual-device setup).
     ///
     /// # Errors
     ///
-    /// Returns [`RangeError`] when compilation fails (bundle path only) or
-    /// the initial power flow cannot be solved.
+    /// Returns [`RangeError`] when the initial power flow cannot be solved.
     pub fn build(self) -> Result<CyberRange, RangeError> {
-        let model = match self.source {
-            Source::Model(model) => model,
-            Source::Bundle(bundle) => CompiledModel::shared(&bundle)?,
-        };
-        let settings = RangeSettings {
-            interval: self.interval,
-            step_stats_capacity: self.step_stats_capacity,
-            solve_errors_capacity: self.solve_errors_capacity,
-            fault_seed: self.fault_seed,
-        };
-        let state = RangeState::instantiate(&model, &settings, self.telemetry)?;
-        Ok(CyberRange {
-            model,
-            settings,
-            state,
-        })
+        CyberRange::new(self.model, self.settings, self.telemetry)
     }
 }
 
@@ -347,18 +262,20 @@ impl CyberRange {
         RangeBuilder::from_model(model).build()
     }
 
-    /// Generates an operational cyber range from an SG-ML model bundle with
-    /// default settings, compiling the bundle privately.
-    ///
-    /// # Errors
-    ///
-    /// See [`RangeBuilder::build`].
-    #[deprecated(
-        note = "compile once with `CompiledModel::shared(&bundle)` and use `CyberRange::instantiate` so ranges share the artifact"
-    )]
-    pub fn generate(bundle: &SgmlBundle) -> Result<CyberRange, RangeError> {
-        let model = CompiledModel::shared(bundle)?;
-        CyberRange::instantiate(model)
+    /// Instantiates a range with explicit settings — the one constructor
+    /// behind [`RangeBuilder::build`] and
+    /// [`Checkpoint::resume`](crate::Checkpoint::resume).
+    pub(crate) fn new(
+        model: Arc<CompiledModel>,
+        settings: RangeSettings,
+        telemetry: Telemetry,
+    ) -> Result<CyberRange, RangeError> {
+        let state = RangeState::instantiate(&model, &settings, telemetry)?;
+        Ok(CyberRange {
+            model,
+            settings,
+            state,
+        })
     }
 
     /// The `Arc`-shared compiled model this range was instantiated from.
@@ -377,15 +294,6 @@ impl CyberRange {
         &self.model.diagnostics
     }
 
-    /// Captures a deterministic restart recipe: the model handle plus this
-    /// tenant's instantiation settings. See [`RangeSnapshot`].
-    pub fn snapshot(&self) -> RangeSnapshot {
-        RangeSnapshot {
-            model: self.model.clone(),
-            settings: self.settings.clone(),
-        }
-    }
-
     /// Captures a deterministic *mid-run* checkpoint: the replay position of
     /// this tenant — step count, simulation clock, fault-RNG stream state,
     /// full process store with write versions, and a bit-exact digest of the
@@ -393,32 +301,6 @@ impl CyberRange {
     /// [`Checkpoint`](crate::Checkpoint) for the resume contract.
     pub fn checkpoint(&self) -> crate::Checkpoint {
         crate::Checkpoint::capture(&self.model, &self.settings, &self.state)
-    }
-
-    /// Rewinds this range to generation zero in place: fresh network, fresh
-    /// devices, fresh power state, simulation clock back at 0 — an instant
-    /// exercise restart. The existing telemetry handle is kept, so restart
-    /// events append to the same journal; use
-    /// [`restore_with`](CyberRange::restore_with) to attach a fresh one
-    /// (e.g. for byte-identical replay comparison).
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`] (the initial solve re-runs).
-    pub fn restore(&mut self) -> Result<(), RangeError> {
-        self.restore_with(self.state.telemetry().clone())
-    }
-
-    /// Rewinds this range to generation zero with a replacement telemetry
-    /// handle. A restored range replays an identical exercise byte-for-byte
-    /// under the same fault seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`] (the initial solve re-runs).
-    pub fn restore_with(&mut self, telemetry: Telemetry) -> Result<(), RangeError> {
-        self.state = RangeState::instantiate(&self.model, &self.settings, telemetry)?;
-        Ok(())
     }
 
     /// Summary line for logs and the pipeline demonstration binary.

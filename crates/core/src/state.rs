@@ -7,6 +7,10 @@
 //! immutable [`CompiledModel`](crate::CompiledModel). Instantiation clones
 //! the pristine power model and stamps out fresh device instances from the
 //! compiled blueprints; no XML or Structured Text is ever re-parsed.
+//!
+//! Every power-flow solve — the initial one and one per step — goes through
+//! [`sgcr_powerflow::solve`], wrapped here with the solve's metrics, journal
+//! events and `power.solve` span.
 
 use crate::keymap;
 use crate::model::CompiledModel;
@@ -15,11 +19,9 @@ use sgcr_faults::{DegradationSignal, LinkFault, SensorFault};
 use sgcr_ied::{IedHandle, VirtualIedApp};
 use sgcr_kvstore::{ProcessStore, Value};
 use sgcr_net::{AppPlane, Ipv4Addr, LinkSpec, Network, NodeId, SimDuration, SimTime, SocketApp};
-use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Telemetry};
+use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Telemetry, TraceCtx};
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
-use sgcr_powerflow::{
-    solve_traced, PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSchedule, SolveOptions,
-};
+use sgcr_powerflow::{PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSchedule};
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::{HashMap, VecDeque};
 
@@ -33,8 +35,8 @@ pub const DEFAULT_STEP_STATS_CAPACITY: usize = 65_536;
 pub const DEFAULT_SOLVE_ERRORS_CAPACITY: usize = 1_024;
 
 /// Per-tenant instantiation settings — everything about a range that is
-/// *not* derived from the model files. Captured by
-/// [`RangeSnapshot`](crate::RangeSnapshot) so a restored range replays
+/// *not* derived from the model files. Captured by every
+/// [`Checkpoint`](crate::Checkpoint) so a resumed range replays
 /// byte-identically.
 #[derive(Debug, Clone)]
 pub struct RangeSettings {
@@ -146,6 +148,61 @@ impl PlaneHists {
             other: hist("step.plane.other_seconds"),
         }
     }
+}
+
+/// Solves the power flow and records the outcome into `telemetry`: the
+/// `powerflow.solves` counter, the `powerflow.solve_seconds` and
+/// `powerflow.nr_iterations` histograms, `powerflow.convergence_failures`,
+/// a [`SolveCompleted`](ObsEvent::SolveCompleted) or
+/// [`SolveFailed`](ObsEvent::SolveFailed) journal event stamped with the
+/// simulation time `t_ns`, and a zero-duration `power.solve` span parented
+/// to `parent`. The returned context identifies that span so device samples
+/// can be parented to it; it is `None` when tracing is off. With disabled
+/// telemetry this is exactly [`sgcr_powerflow::solve`] — not even the timer
+/// is started.
+fn solve_observed(
+    net: &PowerNetwork,
+    telemetry: &Telemetry,
+    t_ns: u64,
+    parent: Option<TraceCtx>,
+) -> (Result<PowerFlowResult, PowerFlowError>, Option<TraceCtx>) {
+    if !telemetry.is_enabled() {
+        return (sgcr_powerflow::solve(net), None);
+    }
+    let tracer = telemetry.tracer();
+    let mut span = tracer.open("power.solve", Plane::Power, parent, t_ns);
+    let ctx = span.ctx();
+    let start = std::time::Instant::now();
+    let result = sgcr_powerflow::solve(net);
+    let seconds = start.elapsed().as_secs_f64();
+    telemetry.counter("powerflow.solves").inc();
+    telemetry
+        .histogram("powerflow.solve_seconds", &buckets::LATENCY_SECONDS)
+        .observe(seconds);
+    match &result {
+        Ok(r) => {
+            telemetry
+                .histogram("powerflow.nr_iterations", &buckets::ITERATIONS)
+                .observe(r.iterations as f64);
+            let iters = r.iterations as u64;
+            telemetry.record(t_ns, || ObsEvent::SolveCompleted { iters, seconds });
+            if span.is_recording() {
+                span.attr("iterations", iters.to_string());
+                span.attr("converged", "true");
+            }
+        }
+        Err(e) => {
+            telemetry.counter("powerflow.convergence_failures").inc();
+            telemetry.record(t_ns, || ObsEvent::SolveFailed {
+                detail: e.to_string(),
+            });
+            if span.is_recording() {
+                span.attr("converged", "false");
+            }
+        }
+    }
+    span.end(t_ns);
+    (result, ctx)
 }
 
 impl RangeState {
@@ -303,13 +360,8 @@ impl RangeState {
         state.publish_switch_states();
         let tracer = state.telemetry.tracer();
         let init_span = tracer.open("range.init", Plane::Range, None, 0u64);
-        let (result, solve_ctx) = solve_traced(
-            &state.power,
-            &SolveOptions::default(),
-            &state.telemetry,
-            0,
-            init_span.ctx(),
-        );
+        let (result, solve_ctx) =
+            solve_observed(&state.power, &state.telemetry, 0, init_span.ctx());
         let result = result.map_err(RangeError::PowerFlow)?;
         if let Some(solve_ctx) = solve_ctx {
             // Device samples taken before the first step trace to this solve.
@@ -460,13 +512,8 @@ impl RangeState {
 
         // Solve and publish.
         let solve_start = std::time::Instant::now();
-        let (solved, solve_ctx) = solve_traced(
-            &self.power,
-            &SolveOptions::default(),
-            &self.telemetry,
-            t1.as_nanos(),
-            step_span.ctx(),
-        );
+        let (solved, solve_ctx) =
+            solve_observed(&self.power, &self.telemetry, t1.as_nanos(), step_span.ctx());
         match solved {
             Ok(result) => {
                 if let Some(solve_ctx) = solve_ctx {

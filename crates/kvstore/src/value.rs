@@ -1,6 +1,5 @@
 //! The dynamically-typed values stored in the process cache.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value in the process cache.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Measurements from the power-flow simulator are [`Value::Float`]s, breaker
 /// positions and commands are [`Value::Bool`]s, counters and enumerations are
 /// [`Value::Int`]s, and free-form identifiers are [`Value::Str`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Boolean (breaker position, command flag, alarm state).
     Bool(bool),

@@ -1,7 +1,8 @@
-//! JSON output for `--format json`, plus the parser that round-trips it.
+//! JSON output for `--format json`, plus the decoder that round-trips it.
 //!
-//! The emitter and parser are hand-rolled (the toolchain is
-//! dependency-free); the schema is deliberately small:
+//! The emitter is hand-rolled (the toolchain is dependency-free) and the
+//! decoder reads through the workspace's one JSON parser,
+//! [`sgcr_obs::json::parse`]; the schema is deliberately small:
 //!
 //! ```json
 //! {
@@ -24,7 +25,7 @@
 //! round-trip — which is the point of having a registry.
 
 use crate::LintReport;
-use sgcr_obs::json::quote;
+use sgcr_obs::json::{parse, quote, Value};
 use sgcr_scl::{codes, Diagnostic, Severity, Span};
 use std::fmt::Write as _;
 
@@ -90,30 +91,23 @@ fn err(message: impl Into<String>) -> JsonError {
 /// Returns [`JsonError`] on malformed JSON, an unregistered diagnostic code,
 /// or an unknown severity label.
 pub fn from_json(text: &str) -> Result<LintReport, JsonError> {
-    let value = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let root = parse(text).map_err(err)?;
+    if !matches!(root, Value::Object(_)) {
+        return Err(err("root is not an object"));
     }
-    .parse()?;
-    let root = value
-        .as_object()
-        .ok_or_else(|| err("root is not an object"))?;
     let list = root
-        .iter()
-        .find(|(k, _)| k == "diagnostics")
-        .and_then(|(_, v)| v.as_array())
+        .get("diagnostics")
+        .and_then(Value::as_array)
         .ok_or_else(|| err("missing \"diagnostics\" array"))?;
 
     let mut diagnostics = Vec::new();
     for item in list {
-        let fields = item
-            .as_object()
-            .ok_or_else(|| err("diagnostic is not an object"))?;
+        if !matches!(item, Value::Object(_)) {
+            return Err(err("diagnostic is not an object"));
+        }
         let get_str = |key: &str| -> Result<&str, JsonError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str())
+            item.get(key)
+                .and_then(Value::as_str)
                 .ok_or_else(|| err(format!("diagnostic missing string field {key:?}")))
         };
         let code_str = get_str("code")?;
@@ -132,20 +126,21 @@ pub fn from_json(text: &str) -> Result<LintReport, JsonError> {
             get_str("message")?.to_string(),
             get_str("context")?.to_string(),
         );
-        if let Some(span) = fields.iter().find(|(k, _)| k == "span") {
-            let span = span
-                .1
-                .as_object()
-                .ok_or_else(|| err("span is not an object"))?;
-            let field = |key: &str| span.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let file = field("file")
-                .and_then(JsonValue::as_str)
+        if let Some(span) = item.get("span") {
+            if !matches!(span, Value::Object(_)) {
+                return Err(err("span is not an object"));
+            }
+            let file = span
+                .get("file")
+                .and_then(Value::as_str)
                 .ok_or_else(|| err("span missing file"))?;
-            let line = field("line")
-                .and_then(JsonValue::as_u32)
+            let line = span
+                .get("line")
+                .and_then(as_u32)
                 .ok_or_else(|| err("span missing line"))?;
-            let column = field("column")
-                .and_then(JsonValue::as_u32)
+            let column = span
+                .get("column")
+                .and_then(as_u32)
                 .ok_or_else(|| err("span missing column"))?;
             diagnostic = diagnostic.with_span(Span::new(file, line, column));
         }
@@ -154,226 +149,12 @@ pub fn from_json(text: &str) -> Result<LintReport, JsonError> {
     Ok(LintReport { diagnostics })
 }
 
-/// A parsed JSON value (the minimal subset the report schema needs).
-enum JsonValue {
-    Null,
-    Bool(#[allow(dead_code)] bool),
-    Number(f64),
-    String(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as u32)
-            }
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn parse(mut self) -> Result<JsonValue, JsonError> {
-        let value = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(err("trailing characters after JSON value"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, JsonError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| err("unexpected end of input"))
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!(
-                "expected {:?} at offset {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::String(self.string()?)),
-            b't' => self.literal("true", JsonValue::Bool(true)),
-            b'f' => self.literal("false", JsonValue::Bool(false)),
-            b'n' => self.literal("null", JsonValue::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(err(format!("invalid literal at offset {}", self.pos)))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                other => return Err(err(format!("unexpected {:?} in object", other as char))),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => return Err(err(format!("unexpected {:?} in array", other as char))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| err("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| err("bad \\u escape"))?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by to_json;
-                            // map unpaired surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(err(format!("unknown escape \\{}", other as char))),
-                    }
-                }
-                Some(byte) => {
-                    // Re-walk UTF-8 via str slicing to stay codepoint-correct.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| err("empty string"))?;
-                    if byte < 0x20 {
-                        return Err(err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| err(format!("invalid number {text:?}")))
-    }
+/// A number that is an exact `u32` (line and column numbers).
+fn as_u32(value: &Value) -> Option<u32> {
+    value
+        .as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= f64::from(u32::MAX))
+        .map(|n| n as u32)
 }
 
 #[cfg(test)]

@@ -370,9 +370,14 @@ fn check_targets(file: &str, scenario: &Scenario, names: &BundleNames, out: &mut
                     unknown("IED", ied, ctx, objective.pos, out);
                 }
             }
-            Check::ScadaAlarm { point }
-            | Check::TagAbove { point, .. }
-            | Check::TagBelow { point, .. } => {
+            Check::ScadaAlarm { point } => {
+                // The HMI's stale-tag sweep raises `stale:<tag>` alarms.
+                let tag = point.strip_prefix("stale:").unwrap_or(point);
+                if !names.points.contains(tag) {
+                    unknown("SCADA point", point, ctx, objective.pos, out);
+                }
+            }
+            Check::TagAbove { point, .. } | Check::TagBelow { point, .. } => {
                 if !names.points.contains(point) {
                     unknown("SCADA point", point, ctx, objective.pos, out);
                 }
@@ -460,13 +465,22 @@ mod tests {
   <Objective id="o2" kind="iedTrip" ied="GHOSTIED" withinMs="10"/>
   <Objective id="o3" kind="scadaAlarm" point="Ghost_pt" withinMs="10"/>
   <Objective id="o4" kind="voltageBand" bus="EPIC/LV/GhostBay/CN_X" min="0.9" max="1.1" toMs="100"/>
+  <Objective id="o5" kind="scadaAlarm" point="stale:MicroVolt_pu" withinMs="10"/>
+  <Objective id="o6" kind="scadaAlarm" point="stale:Ghost_pt" withinMs="10"/>
+  <Objective id="o7" kind="tagAbove" point="stale:MicroVolt_pu" value="1.0" withinMs="10"/>
 </Scenario>"#,
         );
         let unknown: Vec<_> = out
             .iter()
             .filter(|d| d.code == codes::SCENARIO_UNKNOWN_TARGET)
             .collect();
-        assert_eq!(unknown.len(), 8, "{out:?}");
+        // o5 is known: the stale sweep alarms on a configured point. The
+        // `stale:` namespace applies to scadaAlarm only, so o7 is unknown.
+        assert_eq!(unknown.len(), 10, "{out:?}");
+        assert!(
+            !unknown.iter().any(|d| d.context == "Objective o5"),
+            "{out:?}"
+        );
         // Findings are anchored to the offending element, not the file top.
         assert!(unknown.iter().all(|d| d.span.as_ref().unwrap().line > 1));
     }

@@ -3,9 +3,10 @@
 //! so string escaping exists exactly once.
 //!
 //! This is intentionally *not* a general JSON library: the two primitives a
-//! writer needs — quoting a string and formatting a float — plus a small
-//! recursive-descent [`parse`] used by the farm status endpoint's `watch`
-//! client and its tests (the only in-tree JSON *consumers*).
+//! writer needs — quoting a string and formatting a float — plus the one
+//! JSON reader in the workspace, a small recursive-descent [`parse`] behind
+//! checkpoint decoding, the lint report round-trip and cache, and the farm
+//! status endpoint's `watch` client.
 
 use std::fmt::Write as _;
 
@@ -131,9 +132,11 @@ impl Value {
 }
 
 /// Parses one JSON document. Trailing non-whitespace is an error, as are
-/// documents nested deeper than 128 levels.
+/// documents nested deeper than 128 levels and unescaped control characters
+/// inside strings. Runs in time linear in the document length.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -150,6 +153,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -211,8 +215,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -222,6 +226,14 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control character as one slice. All three are
+            // ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -241,9 +253,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| "truncated \\u escape".to_string())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape {hex:?}"))?;
@@ -256,17 +267,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| "unterminated string".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("unescaped control character at byte {}", self.pos)),
             }
         }
     }
@@ -387,5 +388,15 @@ mod tests {
         assert_eq!(v.as_str(), Some("aA\t\\ünïcödé"));
         let u = parse("\"\\u0041\\u00fc\"").unwrap();
         assert_eq!(u.as_str(), Some("Aü"));
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip_and_control_characters_are_rejected() {
+        assert!(parse("\"tab\there\"").is_err());
+        assert!(parse("\"line\nbreak\"").is_err());
+        let long: String = "ünïcödé→€😀".repeat(4_000);
+        assert!(parse(&format!("[\"{long}\u{1}\"]")).is_err());
+        let v = parse(&quote(&long)).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
     }
 }

@@ -51,6 +51,6 @@ pub use network::{
     SgenId, Shunt, ShuntId, Switch, SwitchId, SwitchTarget, Trafo, TrafoId,
 };
 pub use results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlowResult};
-pub use solver::{solve, solve_telemetered, solve_traced, solve_with, SolveOptions};
+pub use solver::solve;
 pub use timeseries::{Profile, ProfileTarget, ScenarioAction, ScenarioEvent, SimulationSchedule};
 pub use topology::{Island, SlackSource, Topology};

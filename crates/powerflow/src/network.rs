@@ -5,12 +5,10 @@
 //! models generated from IEC 61850 SSD files read the same in both systems:
 //! `vn_kv`, `r_ohm_per_km`, `sn_mva`, `vk_percent`, `p_mw`, …
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! element_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub usize);
 
         impl $name {
@@ -66,7 +64,7 @@ element_id!(
 );
 
 /// A network bus (node) at a nominal voltage level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bus {
     /// Human-readable name (unique within a network by convention).
     pub name: String,
@@ -77,7 +75,7 @@ pub struct Bus {
 }
 
 /// An overhead line or cable (pi-model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Line {
     /// Human-readable name.
     pub name: String,
@@ -100,7 +98,7 @@ pub struct Line {
 }
 
 /// A two-winding transformer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trafo {
     /// Human-readable name.
     pub name: String,
@@ -127,7 +125,7 @@ pub struct Trafo {
 }
 
 /// A PQ load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Load {
     /// Human-readable name.
     pub name: String,
@@ -144,7 +142,7 @@ pub struct Load {
 }
 
 /// A static generator (PQ injection: PV panels, batteries, wind).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sgen {
     /// Human-readable name.
     pub name: String,
@@ -161,7 +159,7 @@ pub struct Sgen {
 }
 
 /// A voltage-controlled (PV) generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gen {
     /// Human-readable name.
     pub name: String,
@@ -176,7 +174,7 @@ pub struct Gen {
 }
 
 /// An external grid connection (slack bus).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtGrid {
     /// Human-readable name.
     pub name: String,
@@ -191,7 +189,7 @@ pub struct ExtGrid {
 }
 
 /// A shunt element (capacitor bank / reactor), powers at 1.0 pu voltage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Shunt {
     /// Human-readable name.
     pub name: String,
@@ -206,7 +204,7 @@ pub struct Shunt {
 }
 
 /// What a switch connects the bus to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchTarget {
     /// Bus-to-bus coupler / busbar section switch.
     Bus(BusId),
@@ -217,7 +215,7 @@ pub enum SwitchTarget {
 }
 
 /// A switch or circuit breaker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Switch {
     /// Human-readable name (circuit breakers referenced by SG-ML use this).
     pub name: String,
@@ -246,7 +244,7 @@ pub struct Switch {
 /// assert!(result.bus[b2.index()].vm_pu < 1.0);
 /// # Ok::<(), sgcr_powerflow::PowerFlowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerNetwork {
     /// Network name (substation or system identifier).
     pub name: String,

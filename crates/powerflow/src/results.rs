@@ -1,10 +1,8 @@
 //! Power-flow result tables, mirroring the element tables of
 //! [`PowerNetwork`](crate::PowerNetwork).
 
-use serde::{Deserialize, Serialize};
-
 /// Result for one bus.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BusResult {
     /// Voltage magnitude in per-unit (0.0 when de-energized).
     pub vm_pu: f64,
@@ -19,7 +17,7 @@ pub struct BusResult {
 }
 
 /// Result for one branch (line or transformer).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BranchResult {
     /// Active power entering at the from/HV side in MW.
     pub p_from_mw: f64,
@@ -42,7 +40,7 @@ pub struct BranchResult {
 }
 
 /// Result for one external grid: the power it supplies.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExtGridResult {
     /// Active power supplied in MW.
     pub p_mw: f64,
@@ -51,7 +49,7 @@ pub struct ExtGridResult {
 }
 
 /// Result for one generator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GenResult {
     /// Active power dispatched in MW (may differ from set-point for slack).
     pub p_mw: f64,
@@ -62,7 +60,7 @@ pub struct GenResult {
 }
 
 /// The complete solution of one power-flow run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerFlowResult {
     /// Per-bus results, indexed like the bus table.
     pub bus: Vec<BusResult>,

@@ -8,25 +8,12 @@ use crate::results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlo
 use crate::topology::{SlackSource, Topology};
 use std::collections::HashMap;
 
-/// Solver options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveOptions {
-    /// Convergence tolerance on the largest power mismatch, in per-unit.
-    pub tolerance: f64,
-    /// Maximum Newton–Raphson iterations per island.
-    pub max_iterations: usize,
-}
+/// Convergence tolerance on the largest power mismatch, in per-unit.
+const TOLERANCE: f64 = 1e-8;
+/// Maximum Newton–Raphson iterations per island.
+const MAX_ITERATIONS: usize = 30;
 
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            tolerance: 1e-8,
-            max_iterations: 30,
-        }
-    }
-}
-
-/// Solves the AC power flow with default options.
+/// Solves the AC power flow.
 ///
 /// # Errors
 ///
@@ -34,109 +21,10 @@ impl Default for SolveOptions {
 /// Jacobian is singular. De-energized islands are reported with zero voltage,
 /// not as errors.
 pub fn solve(net: &PowerNetwork) -> Result<PowerFlowResult, PowerFlowError> {
-    solve_with(net, &SolveOptions::default())
-}
-
-/// Solves the AC power flow with explicit [`SolveOptions`].
-///
-/// # Errors
-///
-/// See [`solve`].
-pub fn solve_with(
-    net: &PowerNetwork,
-    options: &SolveOptions,
-) -> Result<PowerFlowResult, PowerFlowError> {
     validate(net)?;
     let topo = Topology::build(net);
-    let state = solve_state(net, &topo, options)?;
+    let state = solve_state(net, &topo)?;
     Ok(extract_results(net, &topo, &state))
-}
-
-/// Solves the AC power flow and records the outcome into `telemetry`.
-///
-/// On top of [`solve_with`], this observes the wall-clock solve time in the
-/// `powerflow.solve_seconds` histogram, the Newton–Raphson iteration count in
-/// `powerflow.nr_iterations`, counts failures in
-/// `powerflow.convergence_failures`, and journals a
-/// [`SolveCompleted`](sgcr_obs::Event::SolveCompleted) or
-/// [`SolveFailed`](sgcr_obs::Event::SolveFailed) event stamped with the
-/// simulation time `t_ns`. With disabled telemetry this is exactly
-/// [`solve_with`] — not even the timer is started.
-///
-/// # Errors
-///
-/// See [`solve`].
-pub fn solve_telemetered(
-    net: &PowerNetwork,
-    options: &SolveOptions,
-    telemetry: &sgcr_obs::Telemetry,
-    t_ns: u64,
-) -> Result<PowerFlowResult, PowerFlowError> {
-    solve_traced(net, options, telemetry, t_ns, None).0
-}
-
-/// Solves the AC power flow, records telemetry, and opens a `power.solve`
-/// span parented to `parent` when tracing is enabled.
-///
-/// The span covers the simulated instant `t_ns` (zero duration: the solve is
-/// instantaneous in simulation time) and carries the iteration count and
-/// convergence status as attributes. The returned context identifies the
-/// solve span so downstream actions (IED measurement sampling) can be
-/// parented to it; it is `None` when tracing is off.
-///
-/// # Errors
-///
-/// See [`solve`].
-pub fn solve_traced(
-    net: &PowerNetwork,
-    options: &SolveOptions,
-    telemetry: &sgcr_obs::Telemetry,
-    t_ns: u64,
-    parent: Option<sgcr_obs::TraceCtx>,
-) -> (
-    Result<PowerFlowResult, PowerFlowError>,
-    Option<sgcr_obs::TraceCtx>,
-) {
-    if !telemetry.is_enabled() {
-        return (solve_with(net, options), None);
-    }
-    let tracer = telemetry.tracer();
-    let mut span = tracer.open("power.solve", sgcr_obs::Plane::Power, parent, t_ns);
-    let ctx = span.ctx();
-    let start = std::time::Instant::now();
-    let result = solve_with(net, options);
-    let seconds = start.elapsed().as_secs_f64();
-    telemetry.counter("powerflow.solves").inc();
-    telemetry
-        .histogram(
-            "powerflow.solve_seconds",
-            &sgcr_obs::buckets::LATENCY_SECONDS,
-        )
-        .observe(seconds);
-    match &result {
-        Ok(r) => {
-            telemetry
-                .histogram("powerflow.nr_iterations", &sgcr_obs::buckets::ITERATIONS)
-                .observe(r.iterations as f64);
-            let iters = r.iterations as u64;
-            telemetry.record(t_ns, || sgcr_obs::Event::SolveCompleted { iters, seconds });
-            if span.is_recording() {
-                span.attr("iterations", iters.to_string());
-                span.attr("converged", "true");
-            }
-        }
-        Err(e) => {
-            telemetry.counter("powerflow.convergence_failures").inc();
-            telemetry.record(t_ns, || sgcr_obs::Event::SolveFailed {
-                detail: e.to_string(),
-            });
-            if span.is_recording() {
-                span.attr("converged", "false");
-            }
-        }
-    }
-    span.end(t_ns);
-    (result, ctx)
 }
 
 /// Per-node complex voltages keyed by representative node index.
@@ -253,11 +141,7 @@ fn trafo_pu(net: &PowerNetwork, tid: usize, topo: &Topology) -> BranchPu {
     }
 }
 
-fn solve_state(
-    net: &PowerNetwork,
-    topo: &Topology,
-    options: &SolveOptions,
-) -> Result<SolvedState, PowerFlowError> {
+fn solve_state(net: &PowerNetwork, topo: &Topology) -> Result<SolvedState, PowerFlowError> {
     let s_base = net.sn_mva_base;
     let mut voltage: HashMap<usize, Complex> = HashMap::new();
     let mut iterations_max = 0usize;
@@ -401,7 +285,7 @@ fn solve_state(
         let mut converged = unknowns == 0;
         let mut iterations = 0usize;
         let mut max_mismatch = 0.0f64;
-        while !converged && iterations < options.max_iterations {
+        while !converged && iterations < MAX_ITERATIONS {
             iterations += 1;
             // Calculated injections.
             let mut p_calc = vec![0.0f64; n];
@@ -430,7 +314,7 @@ fn solve_state(
                 max_mismatch = f64::INFINITY;
                 break;
             }
-            if max_mismatch < options.tolerance {
+            if max_mismatch < TOLERANCE {
                 converged = true;
                 break;
             }

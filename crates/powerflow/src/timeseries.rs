@@ -8,10 +8,9 @@
 //! scenario events to a [`PowerNetwork`] at each step.
 
 use crate::network::PowerNetwork;
-use serde::{Deserialize, Serialize};
 
 /// The element a profile drives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfileTarget {
     /// Scale a load's power by the profile value.
     LoadScaling(String),
@@ -22,7 +21,7 @@ pub enum ProfileTarget {
 }
 
 /// A piecewise-constant time profile: at `t >= time_ms` the value applies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// What the profile drives.
     pub target: ProfileTarget,
@@ -43,7 +42,7 @@ impl Profile {
 }
 
 /// A one-shot disturbance applied at a point in time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioAction {
     /// Open a named switch (circuit breaker).
     OpenSwitch(String),
@@ -62,7 +61,7 @@ pub enum ScenarioAction {
 }
 
 /// A scheduled scenario event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
     /// Simulation time at which the action fires, in milliseconds.
     pub at_ms: u64,
@@ -71,7 +70,7 @@ pub struct ScenarioEvent {
 }
 
 /// The full schedule driving a time-series simulation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimulationSchedule {
     /// Continuous profiles.
     pub profiles: Vec<Profile>,

@@ -88,10 +88,6 @@
 //! `--iterations` polls have been made). Transient scrape failures are
 //! retried with capped exponential backoff instead of killing the
 //! dashboard; only repeated consecutive failures end it.
-//!
-//! The pre-subcommand invocation forms (`sgml_processor <bundle-dir>
-//! [--run <seconds>] [--validate-only] …`) keep working as deprecated
-//! aliases and print a one-line migration hint on stderr.
 
 use sgcr_adversary::AttackGraph;
 use sgcr_core::{CompiledModel, RangeBuilder, SgmlBundle};
@@ -209,19 +205,11 @@ enum Cmd {
     },
 }
 
-/// Parse result: the command plus an optional deprecation notice to print
-/// on stderr (set when a legacy pre-subcommand form was used).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Parsed {
-    cmd: Cmd,
-    deprecation: Option<String>,
-}
-
 /// Parses command-line arguments (without the program name). Pure so the
-/// whole surface — subcommands, flags, and legacy aliases — is unit-testable.
-fn parse_args(args: &[String]) -> Result<Parsed, String> {
+/// whole surface — subcommands and flags — is unit-testable.
+fn parse_args(args: &[String]) -> Result<Cmd, String> {
     let Some(first) = args.first().map(String::as_str) else {
-        return Err(String::from("missing <bundle-dir> or subcommand"));
+        return Err(String::from("missing subcommand"));
     };
     match first {
         "build" => parse_build(&args[1..]),
@@ -232,7 +220,7 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         "watch" => parse_watch(&args[1..]),
         "attack-graph" => parse_attack_graph(&args[1..]),
         "-h" | "--help" | "help" => Err(String::new()),
-        _ => parse_legacy(args),
+        other => Err(format!("unknown subcommand `{other}`")),
     }
 }
 
@@ -252,7 +240,7 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a s
         .ok_or_else(|| format!("`{flag}` requires a value"))
 }
 
-fn parse_build(args: &[String]) -> Result<Parsed, String> {
+fn parse_build(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut dot = false;
     for arg in rest {
@@ -261,10 +249,7 @@ fn parse_build(args: &[String]) -> Result<Parsed, String> {
             other => return Err(format!("unknown argument `{other}` for `build`")),
         }
     }
-    Ok(Parsed {
-        cmd: Cmd::Build { dir, dot },
-        deprecation: None,
-    })
+    Ok(Cmd::Build { dir, dot })
 }
 
 /// Parses the value of `--fault-seed` as an unsigned 64-bit integer.
@@ -274,7 +259,7 @@ fn parse_fault_seed(value: &str) -> Result<u64, String> {
         .map_err(|_| format!("`--fault-seed` expects an unsigned integer, found `{value}`"))
 }
 
-fn parse_run(args: &[String]) -> Result<Parsed, String> {
+fn parse_run(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut seconds = DEFAULT_RUN_SECONDS;
     let mut dot = false;
@@ -306,19 +291,16 @@ fn parse_run(args: &[String]) -> Result<Parsed, String> {
         }
         i += 1;
     }
-    Ok(Parsed {
-        cmd: Cmd::Run {
-            dir,
-            seconds,
-            dot,
-            no_check,
-            metrics,
-            journal,
-            trace,
-            spans,
-            fault_seed,
-        },
-        deprecation: None,
+    Ok(Cmd::Run {
+        dir,
+        seconds,
+        dot,
+        no_check,
+        metrics,
+        journal,
+        trace,
+        spans,
+        fault_seed,
     })
 }
 
@@ -333,7 +315,7 @@ fn parse_format(value: &str) -> Result<Format, String> {
     }
 }
 
-fn parse_lint(args: &[String]) -> Result<Parsed, String> {
+fn parse_lint(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut format = Format::Text;
     let mut cache = None;
@@ -348,18 +330,15 @@ fn parse_lint(args: &[String]) -> Result<Parsed, String> {
         }
         i += 1;
     }
-    Ok(Parsed {
-        cmd: Cmd::Lint {
-            dir,
-            format,
-            cache,
-            deny_warnings,
-        },
-        deprecation: None,
+    Ok(Cmd::Lint {
+        dir,
+        format,
+        cache,
+        deny_warnings,
     })
 }
 
-fn parse_exercise(args: &[String]) -> Result<Parsed, String> {
+fn parse_exercise(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut scenario = None;
     let mut report = None;
@@ -382,17 +361,14 @@ fn parse_exercise(args: &[String]) -> Result<Parsed, String> {
         }
         i += 1;
     }
-    Ok(Parsed {
-        cmd: Cmd::Exercise {
-            dir,
-            scenario,
-            report,
-            journal,
-            trace,
-            fault_seed,
-            no_check,
-        },
-        deprecation: None,
+    Ok(Cmd::Exercise {
+        dir,
+        scenario,
+        report,
+        journal,
+        trace,
+        fault_seed,
+        no_check,
     })
 }
 
@@ -403,7 +379,7 @@ fn parse_uint(flag: &str, value: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{flag}` expects an unsigned integer, found `{value}`"))
 }
 
-fn parse_serve(args: &[String]) -> Result<Parsed, String> {
+fn parse_serve(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut tenants = DEFAULT_SERVE_TENANTS;
     let mut threads = 0;
@@ -476,29 +452,26 @@ fn parse_serve(args: &[String]) -> Result<Parsed, String> {
     if tenants == 0 {
         return Err(String::from("`--tenants` must be at least 1"));
     }
-    Ok(Parsed {
-        cmd: Cmd::Serve {
-            dir,
-            tenants,
-            threads,
-            seconds,
-            scenario,
-            out,
-            report,
-            step_budget_ms,
-            max_overruns,
-            max_restarts,
-            restart_backoff_ms,
-            admit_max,
-            fault_seed,
-            status_addr,
-            no_check,
-        },
-        deprecation: None,
+    Ok(Cmd::Serve {
+        dir,
+        tenants,
+        threads,
+        seconds,
+        scenario,
+        out,
+        report,
+        step_budget_ms,
+        max_overruns,
+        max_restarts,
+        restart_backoff_ms,
+        admit_max,
+        fault_seed,
+        status_addr,
+        no_check,
     })
 }
 
-fn parse_watch(args: &[String]) -> Result<Parsed, String> {
+fn parse_watch(args: &[String]) -> Result<Cmd, String> {
     let (addr, rest) = take_dir(args).map_err(|e| e.replace("<bundle-dir>", "<host:port>"))?;
     let mut interval_ms = 1000;
     let mut iterations = None;
@@ -519,17 +492,14 @@ fn parse_watch(args: &[String]) -> Result<Parsed, String> {
         }
         i += 1;
     }
-    Ok(Parsed {
-        cmd: Cmd::Watch {
-            addr,
-            interval_ms,
-            iterations,
-        },
-        deprecation: None,
+    Ok(Cmd::Watch {
+        addr,
+        interval_ms,
+        iterations,
     })
 }
 
-fn parse_attack_graph(args: &[String]) -> Result<Parsed, String> {
+fn parse_attack_graph(args: &[String]) -> Result<Cmd, String> {
     let (dir, rest) = take_dir(args)?;
     let mut format = GraphFormat::Json;
     let mut i = 0;
@@ -548,86 +518,13 @@ fn parse_attack_graph(args: &[String]) -> Result<Parsed, String> {
         }
         i += 1;
     }
-    Ok(Parsed {
-        cmd: Cmd::AttackGraph { dir, format },
-        deprecation: None,
-    })
-}
-
-/// The pre-subcommand form: `<bundle-dir> [--run <seconds>] [--dot]
-/// [--validate-only] [--format text|json]`. Mapped onto the subcommands
-/// with a one-line deprecation notice.
-fn parse_legacy(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut run_seconds: Option<u64> = None;
-    let mut dot = false;
-    let mut validate_only = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--run" => {
-                let value = flag_value(rest, &mut i, "--run")?;
-                run_seconds = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("`--run` expects an integer, found `{value}`"))?,
-                );
-            }
-            "--dot" => dot = true,
-            "--validate-only" => validate_only = true,
-            "--format" => format = parse_format(flag_value(rest, &mut i, "--format")?)?,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    let (cmd, replacement) = if validate_only {
-        (
-            Cmd::Lint {
-                dir: dir.clone(),
-                format,
-                cache: None,
-                deny_warnings: false,
-            },
-            format!("lint {dir}"),
-        )
-    } else if let Some(seconds) = run_seconds {
-        (
-            Cmd::Run {
-                dir: dir.clone(),
-                seconds,
-                dot,
-                no_check: false,
-                metrics: None,
-                journal: None,
-                trace: None,
-                spans: None,
-                fault_seed: None,
-            },
-            format!("run {dir} --seconds {seconds}"),
-        )
-    } else {
-        (
-            Cmd::Build {
-                dir: dir.clone(),
-                dot,
-            },
-            format!("build {dir}"),
-        )
-    };
-    Ok(Parsed {
-        cmd,
-        deprecation: Some(format!(
-            "warning: bare `sgml_processor <bundle-dir>` forms are deprecated; \
-             use `sgml_processor {replacement}`"
-        )),
-    })
+    Ok(Cmd::AttackGraph { dir, format })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(parsed) => parsed,
+    let cmd = match parse_args(&args) {
+        Ok(cmd) => cmd,
         Err(message) => {
             if !message.is_empty() {
                 eprintln!("error: {message}");
@@ -636,10 +533,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(notice) = &parsed.deprecation {
-        eprintln!("{notice}");
-    }
-    match parsed.cmd {
+    match cmd {
         Cmd::Build { dir, dot } => generate(&dir, None, dot, &Sinks::default(), None),
         Cmd::Run {
             dir,
@@ -1381,26 +1275,25 @@ mod tests {
 
     #[test]
     fn build_subcommand_parses() {
-        let parsed = parse_args(&argv("build bundles/epic --dot")).unwrap();
+        let cmd = parse_args(&argv("build bundles/epic --dot")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Build {
                 dir: "bundles/epic".into(),
                 dot: true
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn run_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
+        let cmd = parse_args(&argv(
             "run bundles/epic --seconds 30 --metrics m.json --journal j.jsonl \
              --trace t.json --spans s.jsonl --fault-seed 99",
         ))
         .unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Run {
                 dir: "bundles/epic".into(),
                 seconds: 30,
@@ -1413,13 +1306,12 @@ mod tests {
                 fault_seed: Some(99),
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn run_accepts_no_check() {
-        let parsed = parse_args(&argv("run bundles/epic --no-check")).unwrap();
-        match parsed.cmd {
+        let cmd = parse_args(&argv("run bundles/epic --no-check")).unwrap();
+        match cmd {
             Cmd::Run { no_check, .. } => assert!(no_check),
             other => panic!("expected run, got {other:?}"),
         }
@@ -1427,8 +1319,8 @@ mod tests {
 
     #[test]
     fn run_defaults_seconds() {
-        let parsed = parse_args(&argv("run bundles/epic")).unwrap();
-        match parsed.cmd {
+        let cmd = parse_args(&argv("run bundles/epic")).unwrap();
+        match cmd {
             Cmd::Run {
                 seconds,
                 metrics,
@@ -1451,9 +1343,9 @@ mod tests {
 
     #[test]
     fn lint_subcommand_parses_format() {
-        let parsed = parse_args(&argv("lint bundles/epic --format json")).unwrap();
+        let cmd = parse_args(&argv("lint bundles/epic --format json")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Lint {
                 dir: "bundles/epic".into(),
                 format: Format::Json,
@@ -1465,12 +1357,12 @@ mod tests {
 
     #[test]
     fn lint_subcommand_parses_sarif_cache_and_deny_warnings() {
-        let parsed = parse_args(&argv(
+        let cmd = parse_args(&argv(
             "lint bundles/epic --format sarif --cache .lint-cache --deny-warnings",
         ))
         .unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Lint {
                 dir: "bundles/epic".into(),
                 format: Format::Sarif,
@@ -1500,64 +1392,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_dir_maps_to_build_with_warning() {
-        let parsed = parse_args(&argv("bundles/epic --dot")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Build {
-                dir: "bundles/epic".into(),
-                dot: true
-            }
-        );
-        let notice = parsed.deprecation.unwrap();
-        assert!(notice.contains("deprecated"));
-        assert!(notice.contains("build bundles/epic"));
-    }
-
-    #[test]
-    fn legacy_run_flag_maps_to_run() {
-        let parsed = parse_args(&argv("bundles/epic --run 5")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Run {
-                dir: "bundles/epic".into(),
-                seconds: 5,
-                dot: false,
-                no_check: false,
-                metrics: None,
-                journal: None,
-                trace: None,
-                spans: None,
-                fault_seed: None,
-            }
-        );
-        assert!(parsed.deprecation.unwrap().contains("--seconds 5"));
-    }
-
-    #[test]
-    fn legacy_validate_only_maps_to_lint() {
-        let parsed = parse_args(&argv("bundles/epic --validate-only --format json")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Lint {
-                dir: "bundles/epic".into(),
-                format: Format::Json,
-                cache: None,
-                deny_warnings: false,
-            }
-        );
-        assert!(parsed.deprecation.is_some());
-    }
-
-    #[test]
     fn exercise_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
+        let cmd = parse_args(&argv(
             "exercise bundles/epic --scenario s.scenario.xml --report r.json \
              --journal j.jsonl --trace t.json --fault-seed 7",
         ))
         .unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Exercise {
                 dir: "bundles/epic".into(),
                 scenario: Some("s.scenario.xml".into()),
@@ -1568,13 +1410,12 @@ mod tests {
                 no_check: false,
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn exercise_accepts_no_check() {
-        let parsed = parse_args(&argv("exercise bundles/epic --no-check")).unwrap();
-        match parsed.cmd {
+        let cmd = parse_args(&argv("exercise bundles/epic --no-check")).unwrap();
+        match cmd {
             Cmd::Exercise { no_check, .. } => assert!(no_check),
             other => panic!("expected exercise, got {other:?}"),
         }
@@ -1582,9 +1423,9 @@ mod tests {
 
     #[test]
     fn exercise_scenario_and_report_are_optional() {
-        let parsed = parse_args(&argv("exercise bundles/epic")).unwrap();
+        let cmd = parse_args(&argv("exercise bundles/epic")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Exercise {
                 dir: "bundles/epic".into(),
                 scenario: None,
@@ -1599,17 +1440,17 @@ mod tests {
 
     #[test]
     fn attack_graph_subcommand_parses() {
-        let parsed = parse_args(&argv("attack-graph bundles/epic")).unwrap();
+        let cmd = parse_args(&argv("attack-graph bundles/epic")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::AttackGraph {
                 dir: "bundles/epic".into(),
                 format: GraphFormat::Json,
             }
         );
-        let parsed = parse_args(&argv("attack-graph bundles/epic --format dot")).unwrap();
+        let cmd = parse_args(&argv("attack-graph bundles/epic --format dot")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::AttackGraph {
                 dir: "bundles/epic".into(),
                 format: GraphFormat::Dot,
@@ -1626,7 +1467,7 @@ mod tests {
 
     #[test]
     fn serve_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
+        let cmd = parse_args(&argv(
             "serve bundles/epic --tenants 128 --threads 4 --seconds 30 \
              --scenario s.scenario.xml --out /tmp/farm --report farm.json \
              --step-budget-ms 100 --max-overruns 5 --max-restarts 3 \
@@ -1635,7 +1476,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Serve {
                 dir: "bundles/epic".into(),
                 tenants: 128,
@@ -1654,13 +1495,12 @@ mod tests {
                 no_check: true,
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn serve_status_addr_is_optional() {
-        let parsed = parse_args(&argv("serve bundles/epic")).unwrap();
-        match parsed.cmd {
+        let cmd = parse_args(&argv("serve bundles/epic")).unwrap();
+        match cmd {
             Cmd::Serve { status_addr, .. } => assert!(status_addr.is_none()),
             other => panic!("expected serve, got {other:?}"),
         }
@@ -1668,21 +1508,21 @@ mod tests {
 
     #[test]
     fn watch_subcommand_parses_flags_and_defaults() {
-        let parsed = parse_args(&argv(
+        let cmd = parse_args(&argv(
             "watch 127.0.0.1:9644 --interval-ms 250 --iterations 3",
         ))
         .unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Watch {
                 addr: "127.0.0.1:9644".into(),
                 interval_ms: 250,
                 iterations: Some(3),
             }
         );
-        let parsed = parse_args(&argv("watch 127.0.0.1:9644")).unwrap();
+        let cmd = parse_args(&argv("watch 127.0.0.1:9644")).unwrap();
         assert_eq!(
-            parsed.cmd,
+            cmd,
             Cmd::Watch {
                 addr: "127.0.0.1:9644".into(),
                 interval_ms: 1000,
@@ -1713,8 +1553,8 @@ mod tests {
 
     #[test]
     fn serve_defaults_are_sensible() {
-        let parsed = parse_args(&argv("serve bundles/epic")).unwrap();
-        match parsed.cmd {
+        let cmd = parse_args(&argv("serve bundles/epic")).unwrap();
+        match cmd {
             Cmd::Serve {
                 tenants,
                 threads,
@@ -1770,5 +1610,6 @@ mod tests {
         assert!(parse_args(&argv("exercise bundles/epic --bogus")).is_err());
         assert!(parse_args(&argv("build bundles/epic --bogus")).is_err());
         assert!(parse_args(&argv("bundles/epic --bogus")).is_err());
+        assert!(parse_args(&argv("bundles/epic")).is_err());
     }
 }

@@ -134,6 +134,34 @@ fn resuming_against_a_different_model_is_rejected() {
 }
 
 #[test]
+fn resuming_against_an_edited_ied_threshold_is_rejected() {
+    let bundle = epic_bundle();
+    let model = CompiledModel::shared(&bundle).expect("EPIC bundle must compile");
+    let mut range = RangeBuilder::from_model(model)
+        .build()
+        .expect("range instantiates");
+    range.run_for(SimDuration::from_secs(1));
+    let checkpoint = range.checkpoint();
+
+    // Same hosts, IEDs and topology; only one protection setting differs.
+    let mut edited = bundle;
+    let config = edited.ied_config.take().expect("EPIC ships an IED config");
+    let retuned = config.replacen("threshold=\"0.15\"", "threshold=\"0.25\"", 1);
+    assert_ne!(retuned, config, "edit must hit a threshold");
+    edited.ied_config = Some(retuned);
+    let edited_model = CompiledModel::shared(&edited).expect("edited bundle compiles");
+    match checkpoint
+        .resume(edited_model, Telemetry::new())
+        .map(|_| ())
+    {
+        Err(CheckpointError::ModelMismatch { found, expected }) => {
+            assert_ne!(found, expected, "fingerprints must differ");
+        }
+        other => panic!("expected ModelMismatch, got {other:?}"),
+    }
+}
+
+#[test]
 fn malformed_checkpoint_documents_fail_to_decode() {
     for bad in [
         "",

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
-use sg_cyber_range::core::{CompiledModel, CyberRange, RangeBuilder};
+use sg_cyber_range::core::{Checkpoint, CompiledModel, CyberRange, RangeBuilder};
 use sg_cyber_range::faults::LinkFault;
 use sg_cyber_range::models::epic_bundle;
 use sg_cyber_range::net::SimDuration;
@@ -87,7 +87,7 @@ fn different_seed_changes_the_impairment_pattern() {
 }
 
 #[test]
-fn snapshot_restore_replays_byte_identically_from_shared_model() {
+fn step0_checkpoint_replays_byte_identically_from_shared_model() {
     let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
     let fault = LinkFault {
         loss: 0.15,
@@ -108,6 +108,10 @@ fn snapshot_restore_replays_byte_identically_from_shared_model() {
         "tenants share one compiled model, not copies"
     );
 
+    // A checkpoint taken before the first step is the restart recipe.
+    let restart = tenant_a.checkpoint();
+    assert_eq!(restart.steps(), 0);
+
     assert!(tenant_a.set_link_fault("SCADA", "ControlBus", fault));
     tenant_a.run_for(SimDuration::from_secs(6));
     let first_journal = first_telemetry.journal_jsonl();
@@ -118,39 +122,25 @@ fn snapshot_restore_replays_byte_identically_from_shared_model() {
         "tenant A's run never leaks into B"
     );
 
-    // Restoring the snapshot rewinds tenant A to generation zero; replaying
-    // the same fault under the same seed is byte-identical to the first run.
-    let snapshot = tenant_a.snapshot();
-    let replay_telemetry = Telemetry::new();
-    tenant_a
-        .restore_with(replay_telemetry.clone())
-        .expect("restore succeeds");
-    assert_eq!(
-        tenant_a.steps_total(),
-        0,
-        "restore rewinds to generation zero"
-    );
-    assert!(tenant_a.set_link_fault("SCADA", "ControlBus", fault));
-    tenant_a.run_for(SimDuration::from_secs(6));
-    assert_eq!(
-        strip_wall_clock(&first_journal),
-        strip_wall_clock(&replay_telemetry.journal_jsonl()),
-        "restored range must replay byte-identically (modulo wall-clock solve time)"
-    );
-
-    // A brand-new range instantiated from the snapshot replays identically
-    // too — the snapshot is a complete deterministic restart recipe.
-    let fresh_telemetry = Telemetry::new();
-    let mut fresh = snapshot
-        .instantiate(fresh_telemetry.clone())
-        .expect("snapshot instantiates");
-    assert!(fresh.set_link_fault("SCADA", "ControlBus", fault));
-    fresh.run_for(SimDuration::from_secs(6));
-    assert_eq!(
-        strip_wall_clock(&first_journal),
-        strip_wall_clock(&fresh_telemetry.journal_jsonl()),
-        "snapshot-instantiated range must replay byte-identically"
-    );
+    // Resuming the step-0 checkpoint with fresh telemetry — directly and
+    // through its JSON form — rewinds to generation zero; replaying the same
+    // fault under the same seed is byte-identical to the first run.
+    let decoded = Checkpoint::from_json(&restart.to_json()).expect("checkpoint JSON decodes");
+    for checkpoint in [restart, decoded] {
+        let replay_telemetry = Telemetry::new();
+        let mut replay = checkpoint
+            .resume(model.clone(), replay_telemetry.clone())
+            .expect("step-0 checkpoint resumes");
+        assert_eq!(replay.steps_total(), 0, "resume lands at generation zero");
+        assert!(replay.set_link_fault("SCADA", "ControlBus", fault));
+        replay.run_for(SimDuration::from_secs(6));
+        assert_eq!(
+            strip_wall_clock(&first_journal),
+            strip_wall_clock(&replay_telemetry.journal_jsonl()),
+            "a resumed step-0 checkpoint must replay byte-identically \
+             (modulo wall-clock solve time)"
+        );
+    }
 }
 
 #[test]
