@@ -16,7 +16,7 @@
 use sgcr_core::CompiledModel;
 use sgcr_ied::ProtectionSpec;
 use sgcr_net::Ipv4Addr;
-use sgcr_obs::json::{number, quote};
+use sgcr_obs::json::{self, ToJson as _};
 use sgcr_scada::{AlarmKind, PointAddress};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -94,12 +94,19 @@ impl AlarmDir {
     /// Export rendering (`high:40`, `true`, …).
     pub fn render(self) -> String {
         match self {
-            AlarmDir::High(limit) => format!("high:{}", number(limit)),
-            AlarmDir::Low(limit) => format!("low:{}", number(limit)),
+            AlarmDir::High(limit) => with_float("high:", limit),
+            AlarmDir::Low(limit) => with_float("low:", limit),
             AlarmDir::BecomesTrue => "true".to_string(),
             AlarmDir::BecomesFalse => "false".to_string(),
         }
     }
+}
+
+/// `prefix` followed by `v` in the JSON writer's float shape (`40.0`, `0.5`).
+pub(crate) fn with_float(prefix: &str, v: f64) -> String {
+    let mut out = String::from(prefix);
+    v.write_json(&mut out);
+    out
 }
 
 /// How a SCADA point is addressed on its source, as the attacker sees it.
@@ -606,90 +613,54 @@ impl AttackGraph {
     /// Serializes the graph as deterministic JSON (stable key and element
     /// order), the machine-readable form of `attack-graph --format json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"nodes\":[");
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"kind\":{}",
-                quote(&node.id()),
-                quote(node.kind())
-            );
-            match node {
-                Node::Switch { name, wan } => {
-                    let _ = write!(out, ",\"name\":{},\"wan\":{wan}", quote(name));
+        json::object_string(256 * (self.nodes.len() + self.edges.len()), |o| {
+            o.array("nodes", |nodes| {
+                for node in &self.nodes {
+                    nodes.object(|o| {
+                        o.field("id", node.id()).field("kind", node.kind());
+                        match node {
+                            Node::Switch { name, wan } => o.field("name", name).field("wan", wan),
+                            Node::Host {
+                                name,
+                                ip,
+                                switch,
+                                role,
+                            } => o
+                                .field("name", name)
+                                .field("ip", format_args!("{ip}"))
+                                .field("switch", switch)
+                                .field("role", role.name()),
+                            Node::Endpoint { host, protocol } => o
+                                .field("host", host)
+                                .field("protocol", protocol.name())
+                                .field_if_some("port", protocol.port()),
+                            Node::Breaker { name } => o.field("name", name),
+                            Node::ScadaPoint {
+                                name,
+                                source,
+                                address,
+                                alarm,
+                            } => o
+                                .field("name", name)
+                                .field("source", source)
+                                .field("address", address.render())
+                                .field_if_some("alarm", alarm.map(AlarmDir::render)),
+                        };
+                    });
                 }
-                Node::Host {
-                    name,
-                    ip,
-                    switch,
-                    role,
-                } => {
-                    let _ = write!(
-                        out,
-                        ",\"name\":{},\"ip\":{},\"switch\":{},\"role\":{}",
-                        quote(name),
-                        quote(&ip.to_string()),
-                        quote(switch),
-                        quote(role.name())
-                    );
+            });
+            o.array("edges", |edges| {
+                for edge in &self.edges {
+                    edges.object(|o| {
+                        o.field("from", &edge.from)
+                            .field("to", &edge.to)
+                            .field("kind", edge.kind.name())
+                            .field("primitive", edge.primitive.name())
+                            .field_if_some("via", edge.via.as_ref());
+                    });
                 }
-                Node::Endpoint { host, protocol } => {
-                    let _ = write!(
-                        out,
-                        ",\"host\":{},\"protocol\":{}",
-                        quote(host),
-                        quote(protocol.name())
-                    );
-                    if let Some(port) = protocol.port() {
-                        let _ = write!(out, ",\"port\":{port}");
-                    }
-                }
-                Node::Breaker { name } => {
-                    let _ = write!(out, ",\"name\":{}", quote(name));
-                }
-                Node::ScadaPoint {
-                    name,
-                    source,
-                    address,
-                    alarm,
-                } => {
-                    let _ = write!(
-                        out,
-                        ",\"name\":{},\"source\":{},\"address\":{}",
-                        quote(name),
-                        quote(source),
-                        quote(&address.render())
-                    );
-                    if let Some(alarm) = alarm {
-                        let _ = write!(out, ",\"alarm\":{}", quote(&alarm.render()));
-                    }
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("],\"edges\":[");
-        for (i, edge) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from\":{},\"to\":{},\"kind\":{},\"primitive\":{}",
-                quote(&edge.from),
-                quote(&edge.to),
-                quote(edge.kind.name()),
-                quote(edge.primitive.name())
-            );
-            if let Some(via) = &edge.via {
-                let _ = write!(out, ",\"via\":{}", quote(via));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            });
+        })
     }
 
     /// Renders the graph in Graphviz dot format (the sibling of

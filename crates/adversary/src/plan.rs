@@ -13,13 +13,12 @@
 //! RNG — the same seed replays the same campaign byte-identically, and
 //! [`CampaignPlan::to_json`] is the byte-stable witness.
 
-use crate::graph::{AlarmDir, AttackGraph, EdgeKind, HostRole, Node, PointAddr};
+use crate::graph::{with_float, AlarmDir, AttackGraph, EdgeKind, HostRole, Node, PointAddr};
 use sgcr_faults::FaultRng;
 use sgcr_net::Ipv4Addr;
-use sgcr_obs::json::{number, quote};
+use sgcr_obs::json;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// A parsed adversary goal (`<kind>:<target>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,111 +291,87 @@ impl CampaignPlan {
     /// Serializes the plan as deterministic JSON — the replay witness:
     /// same graph + same goal + same seed ⇒ byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"goal\":{},\"seed\":{},\"budget\":{},\"hosts\":[",
-            quote(&self.goal.to_string()),
-            self.seed,
-            self.budget
-        );
-        for (i, host) in self.hosts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"ip\":{},\"switch\":{}}}",
-                quote(&host.name),
-                quote(&host.ip.to_string()),
-                quote(&host.switch)
-            );
-        }
-        out.push_str("],\"steps\":[");
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"kind\":{},",
-                quote(&step.id),
-                quote(step.action.kind())
-            );
-            match &step.start {
-                PlannedStart::At(t) => {
-                    let _ = write!(out, "\"t\":{t},");
+        json::object_string(1024, |o| {
+            o.field("goal", format_args!("{}", self.goal))
+                .field("seed", self.seed)
+                .field("budget", self.budget);
+            o.array("hosts", |hosts| {
+                for host in &self.hosts {
+                    hosts.object(|o| {
+                        o.field("name", &host.name)
+                            .field("ip", format_args!("{}", host.ip))
+                            .field("switch", &host.switch);
+                    });
                 }
-                PlannedStart::After { step, delay_ms } => {
-                    let _ = write!(out, "\"after\":{},\"delayMs\":{delay_ms},", quote(step));
+            });
+            o.array("steps", |steps| {
+                for step in &self.steps {
+                    steps.object(|o| write_step(o, step));
                 }
-            }
-            match &step.action {
-                PlannedAction::Scan {
-                    host,
-                    first,
-                    last,
-                    ports,
-                } => {
-                    let ports: Vec<String> = ports.iter().map(u16::to_string).collect();
-                    let _ = write!(
-                        out,
-                        "\"host\":{},\"first\":{},\"last\":{},\"ports\":{}",
-                        quote(host),
-                        quote(&first.to_string()),
-                        quote(&last.to_string()),
-                        quote(&ports.join(","))
-                    );
-                }
-                PlannedAction::Mitm {
-                    host,
-                    victim_a,
-                    victim_b,
-                    duration_ms,
-                    transform,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"host\":{},\"victimA\":{},\"victimB\":{},\"durationMs\":{duration_ms},\
-                         \"transform\":{}",
-                        quote(host),
-                        quote(victim_a),
-                        quote(victim_b),
-                        quote(&match transform {
-                            PlannedTransform::PassThrough => "passThrough".to_string(),
-                            PlannedTransform::ScaleModbusRegisters(f) =>
-                                format!("scaleModbusRegisters:{}", number(*f)),
-                            PlannedTransform::ScaleMmsFloats(f) =>
-                                format!("scaleMmsFloats:{}", number(f64::from(*f))),
-                        })
-                    );
-                }
-                PlannedAction::Fci {
-                    host,
-                    victim,
-                    item,
-                    value,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"host\":{},\"victim\":{},\"item\":{},\"value\":{value}",
-                        quote(host),
-                        quote(victim),
-                        quote(item)
-                    );
-                }
-            }
-            out.push('}');
-        }
-        let _ = write!(
-            out,
-            "],\"objective\":{{\"id\":{},\"after\":{},\"withinMs\":{}}}}}",
-            quote(Self::OBJECTIVE_ID),
-            quote(&self.objective_after),
-            self.objective_within_ms
-        );
-        out
+            });
+            o.object("objective", |o| {
+                o.field("id", Self::OBJECTIVE_ID)
+                    .field("after", &self.objective_after)
+                    .field("withinMs", self.objective_within_ms);
+            });
+        })
     }
+}
+
+/// The members of one planned step in [`CampaignPlan::to_json`].
+fn write_step(o: &mut json::Object<'_>, step: &PlannedStep) {
+    o.field("id", &step.id).field("kind", step.action.kind());
+    match &step.start {
+        PlannedStart::At(t) => o.field("t", t),
+        PlannedStart::After { step, delay_ms } => o.field("after", step).field("delayMs", delay_ms),
+    };
+    match &step.action {
+        PlannedAction::Scan {
+            host,
+            first,
+            last,
+            ports,
+        } => {
+            let ports: Vec<String> = ports.iter().map(u16::to_string).collect();
+            o.field("host", host)
+                .field("first", format_args!("{first}"))
+                .field("last", format_args!("{last}"))
+                .field("ports", ports.join(","))
+        }
+        PlannedAction::Mitm {
+            host,
+            victim_a,
+            victim_b,
+            duration_ms,
+            transform,
+        } => o
+            .field("host", host)
+            .field("victimA", victim_a)
+            .field("victimB", victim_b)
+            .field("durationMs", duration_ms)
+            .field(
+                "transform",
+                match transform {
+                    PlannedTransform::PassThrough => "passThrough".to_string(),
+                    PlannedTransform::ScaleModbusRegisters(f) => {
+                        with_float("scaleModbusRegisters:", *f)
+                    }
+                    PlannedTransform::ScaleMmsFloats(f) => {
+                        with_float("scaleMmsFloats:", f64::from(*f))
+                    }
+                },
+            ),
+        PlannedAction::Fci {
+            host,
+            victim,
+            item,
+            value,
+        } => o
+            .field("host", host)
+            .field("victim", victim)
+            .field("item", item)
+            .field("value", value),
+    };
 }
 
 /// Inputs to [`plan`] beyond the graph itself.

@@ -36,7 +36,6 @@ use crate::state::{RangeSettings, RangeState};
 use sgcr_kvstore::{Entry, Value};
 use sgcr_obs::{json, Telemetry};
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The checkpoint serialization format version this build writes and reads.
@@ -305,63 +304,52 @@ impl Checkpoint {
     /// state, digests, fingerprints, seeds, float payloads — are encoded as
     /// hex/decimal *strings* so nothing is rounded through an `f64`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.store.len() * 64);
-        let _ = write!(
-            out,
-            "{{\"format\":\"sgcr-checkpoint\",\"version\":{},\"model_fingerprint\":\"{:#018x}\",",
-            self.version, self.model_fingerprint
-        );
-        out.push_str("\"settings\":{");
-        match self.settings.interval {
-            Some(interval) => {
-                let _ = write!(out, "\"interval_ns\":{},", interval.as_nanos());
-            }
-            None => out.push_str("\"interval_ns\":null,"),
-        }
-        let _ = write!(
-            out,
-            "\"step_stats_capacity\":{},\"solve_errors_capacity\":{},",
-            self.settings.step_stats_capacity, self.settings.solve_errors_capacity
-        );
-        match self.settings.fault_seed {
-            Some(seed) => {
-                let _ = write!(out, "\"fault_seed\":\"{seed}\"");
-            }
-            None => out.push_str("\"fault_seed\":null"),
-        }
-        let _ = write!(
-            out,
-            "}},\"steps\":{},\"sim_time_ns\":{},\"fault_rng_state\":\"{:#018x}\",\
-             \"store_version\":{},\"cmd_cursor\":{},\"solve_errors_total\":{},\
-             \"power_digest\":\"{:#018x}\",\"store\":[",
-            self.steps,
-            self.sim_time_ns,
-            self.fault_rng_state,
-            self.store_version,
-            self.cmd_cursor,
-            self.solve_errors_total,
-            self.power_digest,
-        );
-        for (i, (key, entry)) in self.store.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (tag, payload) = match &entry.value {
-                Value::Bool(b) => ("b", b.to_string()),
-                Value::Int(v) => ("i", v.to_string()),
-                Value::Float(v) => ("f", format!("{:#018x}", v.to_bits())),
-                Value::Str(s) => ("s", s.clone()),
-            };
-            let _ = write!(
-                out,
-                "[{},{},\"{tag}\",{}]",
-                json::quote(key),
-                entry.version,
-                json::quote(&payload)
-            );
-        }
-        out.push_str("]}");
-        out
+        json::object_string(256 + self.store.len() * 64, |o| {
+            o.field("format", "sgcr-checkpoint")
+                .field("version", self.version)
+                .field(
+                    "model_fingerprint",
+                    format_args!("{:#018x}", self.model_fingerprint),
+                );
+            o.object("settings", |settings| {
+                settings
+                    .field(
+                        "interval_ns",
+                        self.settings.interval.map(|interval| interval.as_nanos()),
+                    )
+                    .field("step_stats_capacity", self.settings.step_stats_capacity)
+                    .field("solve_errors_capacity", self.settings.solve_errors_capacity)
+                    .field(
+                        "fault_seed",
+                        self.settings.fault_seed.map(|seed| seed.to_string()),
+                    );
+            });
+            o.field("steps", self.steps)
+                .field("sim_time_ns", self.sim_time_ns)
+                .field(
+                    "fault_rng_state",
+                    format_args!("{:#018x}", self.fault_rng_state),
+                )
+                .field("store_version", self.store_version)
+                .field("cmd_cursor", self.cmd_cursor)
+                .field("solve_errors_total", self.solve_errors_total)
+                .field("power_digest", format_args!("{:#018x}", self.power_digest));
+            o.array("store", |store| {
+                for (key, entry) in &self.store {
+                    store.array(|row| {
+                        row.item(key).item(entry.version);
+                        match &entry.value {
+                            Value::Bool(b) => row.item("b").item(format_args!("{b}")),
+                            Value::Int(v) => row.item("i").item(format_args!("{v}")),
+                            Value::Float(v) => {
+                                row.item("f").item(format_args!("{:#018x}", v.to_bits()))
+                            }
+                            Value::Str(s) => row.item("s").item(s),
+                        };
+                    });
+                }
+            });
+        })
     }
 
     /// Decodes a checkpoint serialized by [`Checkpoint::to_json`]. The

@@ -85,12 +85,12 @@ use sgcr_faults::DegradationSignal;
 use sgcr_net::{SimDuration, SimTime};
 use sgcr_obs::agg::{histogram_quantile, rss_bytes};
 use sgcr_obs::{
-    json, prom, Counter, Event as ObsEvent, FarmAggregator, Gauge, Histogram, HistogramSnapshot,
+    json::{self, ToJson},
+    prom, Counter, Event as ObsEvent, FarmAggregator, Gauge, Histogram, HistogramSnapshot,
     Telemetry,
 };
 use sgcr_scenario::{run_exercise, Scenario};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -355,117 +355,65 @@ impl FarmReport {
 
     /// JSON form (stable key order) — the schema `BENCH_farm.json` commits.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"tenants\":{},", self.tenants));
-        out.push_str(&format!("\"threads\":{},", self.threads));
-        out.push_str(&format!("\"sim_seconds\":{},", self.sim_seconds));
-        out.push_str(&format!(
-            "\"wall_seconds\":{},",
-            json::number(self.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "\"ranges_per_sec\":{},",
-            json::number(self.ranges_per_sec)
-        ));
-        out.push_str(&format!("\"steps_total\":{},", self.steps_total));
-        out.push_str(&format!(
-            "\"steps_per_sec\":{},",
-            json::number(self.steps_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"p50_step_seconds\":{},",
-            json::number(self.p50_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"p99_step_seconds\":{},",
-            json::number(self.p99_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"max_step_seconds\":{},",
-            json::number(self.max_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"checkpoint_p50_seconds\":{},",
-            json::number(self.checkpoint_p50_seconds)
-        ));
-        out.push_str(&format!(
-            "\"checkpoint_p99_seconds\":{},",
-            json::number(self.checkpoint_p99_seconds)
-        ));
-        match self.step_budget_ms {
-            Some(budget) => out.push_str(&format!("\"step_budget_ms\":{budget},")),
-            None => out.push_str("\"step_budget_ms\":null,"),
-        }
-        out.push_str(&format!("\"budget_overruns\":{},", self.budget_overruns));
-        out.push_str(&format!("\"tenants_halted\":{},", self.tenants_halted));
-        out.push_str(&format!("\"tenants_failed\":{},", self.tenants_failed));
-        out.push_str(&format!("\"tenants_given_up\":{},", self.tenants_given_up));
-        out.push_str(&format!("\"tenants_drained\":{},", self.tenants_drained));
-        out.push_str(&format!("\"restarts_total\":{},", self.restarts_total));
-        out.push_str(&format!("\"journal_dropped\":{},", self.journal_dropped));
-        out.push_str(&format!("\"spans_dropped\":{},", self.spans_dropped));
-        out.push_str(&format!("\"rss_peak_bytes\":{},", self.rss_peak_bytes));
-        out.push_str(&format!(
-            "\"journal_bytes_written\":{},",
-            self.journal_bytes_written
-        ));
-        out.push_str(&format!(
-            "\"journal_write_seconds\":{},",
-            json::number(self.journal_write_seconds)
-        ));
-        out.push_str(&format!(
-            "\"model_summary\":{},",
-            json::quote(&self.model_summary)
-        ));
-        out.push_str("\"per_tenant\":[");
-        for (i, t) in self.per_tenant.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"tenant\":{},", t.tenant));
-            out.push_str(&format!("\"steps\":{},", t.steps));
-            out.push_str(&format!(
-                "\"wall_seconds\":{},",
-                json::number(t.wall_seconds)
-            ));
-            out.push_str(&format!(
-                "\"p50_step_seconds\":{},",
-                json::number(t.p50_step_seconds)
-            ));
-            out.push_str(&format!(
-                "\"p99_step_seconds\":{},",
-                json::number(t.p99_step_seconds)
-            ));
-            out.push_str(&format!(
-                "\"max_step_seconds\":{},",
-                json::number(t.max_step_seconds)
-            ));
-            out.push_str(&format!("\"budget_overruns\":{},", t.budget_overruns));
-            out.push_str(&format!("\"halted\":{},", t.halted));
-            out.push_str(&format!("\"solve_errors\":{},", t.solve_errors));
-            out.push_str(&format!("\"restarts\":{},", t.restarts));
-            out.push_str(&format!("\"given_up\":{},", t.given_up));
-            out.push_str(&format!("\"drained\":{},", t.drained));
-            match t.score {
-                Some((earned, total)) => out.push_str(&format!(
-                    "\"score\":{{\"earned\":{earned},\"total\":{total}}},"
-                )),
-                None => out.push_str("\"score\":null,"),
-            }
-            match &t.journal_path {
-                Some(path) => out.push_str(&format!("\"journal\":{},", json::quote(path))),
-                None => out.push_str("\"journal\":null,"),
-            }
-            match &t.error {
-                Some(error) => out.push_str(&format!("\"error\":{}", json::quote(error))),
-                None => out.push_str("\"error\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object_string(1024 + self.per_tenant.len() * 256, |o| {
+            o.field("tenants", self.tenants)
+                .field("threads", self.threads)
+                .field("sim_seconds", self.sim_seconds)
+                .field("wall_seconds", self.wall_seconds)
+                .field("ranges_per_sec", self.ranges_per_sec)
+                .field("steps_total", self.steps_total)
+                .field("steps_per_sec", self.steps_per_sec)
+                .field("p50_step_seconds", self.p50_step_seconds)
+                .field("p99_step_seconds", self.p99_step_seconds)
+                .field("max_step_seconds", self.max_step_seconds)
+                .field("checkpoint_p50_seconds", self.checkpoint_p50_seconds)
+                .field("checkpoint_p99_seconds", self.checkpoint_p99_seconds)
+                .field("step_budget_ms", self.step_budget_ms)
+                .field("budget_overruns", self.budget_overruns)
+                .field("tenants_halted", self.tenants_halted)
+                .field("tenants_failed", self.tenants_failed)
+                .field("tenants_given_up", self.tenants_given_up)
+                .field("tenants_drained", self.tenants_drained)
+                .field("restarts_total", self.restarts_total)
+                .field("journal_dropped", self.journal_dropped)
+                .field("spans_dropped", self.spans_dropped)
+                .field("rss_peak_bytes", self.rss_peak_bytes)
+                .field("journal_bytes_written", self.journal_bytes_written)
+                .field("journal_write_seconds", self.journal_write_seconds)
+                .field("model_summary", &self.model_summary);
+            o.array("per_tenant", |tenants| {
+                for t in &self.per_tenant {
+                    tenants.object(|o| {
+                        o.field("tenant", t.tenant)
+                            .field("steps", t.steps)
+                            .field("wall_seconds", t.wall_seconds)
+                            .field("p50_step_seconds", t.p50_step_seconds)
+                            .field("p99_step_seconds", t.p99_step_seconds)
+                            .field("max_step_seconds", t.max_step_seconds)
+                            .field("budget_overruns", t.budget_overruns)
+                            .field("halted", t.halted)
+                            .field("solve_errors", t.solve_errors)
+                            .field("restarts", t.restarts)
+                            .field("given_up", t.given_up)
+                            .field("drained", t.drained);
+                        write_score(o, t.score);
+                        o.field("journal", &t.journal_path).field("error", &t.error);
+                    });
+                }
+            });
+        })
     }
+}
+
+/// The `score` member shared by the farm report and `/status`:
+/// `{"earned":…,"total":…}`, or `null` when the tenant ran no scenario.
+fn write_score(o: &mut json::Object<'_>, score: Option<(impl ToJson, impl ToJson)>) {
+    match score {
+        Some((earned, total)) => o.object("score", |s| {
+            s.field("earned", earned).field("total", total);
+        }),
+        None => o.field("score", None::<u64>),
+    };
 }
 
 /// A tenant's live lifecycle state, as reported on `/status`.
@@ -926,61 +874,43 @@ impl FarmShared {
     pub(crate) fn status_json(&self) -> String {
         let counts = self.counts();
         let registry: Vec<Arc<TenantLive>> = self.per_tenant.lock().clone();
-        let mut out = String::with_capacity(256 + registry.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"tenants\":{},\"threads\":{},\"sim_seconds\":{},\"scenario\":{},",
-            registry.len(),
-            self.threads,
-            self.sim_seconds,
-            self.scenario
-        );
-        match self.step_budget_ms {
-            Some(budget) => {
-                let _ = write!(out, "\"step_budget_ms\":{budget},");
-            }
-            None => out.push_str("\"step_budget_ms\":null,"),
-        }
-        let _ = write!(
-            out,
-            "\"admit_max\":{},\"tenants_running\":{},\"tenants_completed\":{},\"tenants_halted\":{},\"tenants_failed\":{},\"tenants_given_up\":{},\"tenants_drained\":{},\"per_tenant\":[",
-            self.admit_max,
-            counts.running,
-            counts.completed,
-            counts.halted,
-            counts.failed,
-            counts.given_up,
-            counts.drained
-        );
-        for (tenant, live) in registry.iter().enumerate() {
-            if tenant > 0 {
-                out.push(',');
-            }
-            let state = TenantState::from_u8(live.state.load(Ordering::Relaxed));
-            let _ = write!(
-                out,
-                "{{\"tenant\":{tenant},\"state\":{},\"steps\":{},\"budget_overruns\":{},\"solve_errors\":{},\"restarts\":{},\"draining\":{},",
-                json::quote(state.name()),
-                live.steps.load(Ordering::Relaxed),
-                live.overruns.load(Ordering::Relaxed),
-                live.solve_errors.load(Ordering::Relaxed),
-                live.restarts.load(Ordering::Relaxed),
-                live.drain.load(Ordering::Relaxed) && state.is_live()
-            );
-            let score = live.score.load(Ordering::Relaxed);
-            if score & SCORE_PRESENT != 0 {
-                let _ = write!(
-                    out,
-                    "\"score\":{{\"earned\":{},\"total\":{}}}}}",
-                    (score >> 32) & 0x7fff_ffff,
-                    score & 0xffff_ffff
-                );
-            } else {
-                out.push_str("\"score\":null}");
-            }
-        }
-        out.push_str("]}");
-        out
+        json::object_string(256 + registry.len() * 96, |o| {
+            o.field("tenants", registry.len())
+                .field("threads", self.threads)
+                .field("sim_seconds", self.sim_seconds)
+                .field("scenario", self.scenario)
+                .field("step_budget_ms", self.step_budget_ms)
+                .field("admit_max", self.admit_max)
+                .field("tenants_running", counts.running)
+                .field("tenants_completed", counts.completed)
+                .field("tenants_halted", counts.halted)
+                .field("tenants_failed", counts.failed)
+                .field("tenants_given_up", counts.given_up)
+                .field("tenants_drained", counts.drained);
+            o.array("per_tenant", |tenants| {
+                for (tenant, live) in registry.iter().enumerate() {
+                    let state = TenantState::from_u8(live.state.load(Ordering::Relaxed));
+                    let score = live.score.load(Ordering::Relaxed);
+                    tenants.object(|o| {
+                        o.field("tenant", tenant)
+                            .field("state", state.name())
+                            .field("steps", live.steps.load(Ordering::Relaxed))
+                            .field("budget_overruns", live.overruns.load(Ordering::Relaxed))
+                            .field("solve_errors", live.solve_errors.load(Ordering::Relaxed))
+                            .field("restarts", live.restarts.load(Ordering::Relaxed))
+                            .field(
+                                "draining",
+                                live.drain.load(Ordering::Relaxed) && state.is_live(),
+                            );
+                        write_score(
+                            o,
+                            (score & SCORE_PRESENT != 0)
+                                .then_some(((score >> 32) & 0x7fff_ffff, score & 0xffff_ffff)),
+                        );
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -1425,11 +1355,8 @@ fn run_tenant_attempt(
             // end time is absolute, so a resumed tenant finishes the same
             // total simulated horizon instead of restarting it.
             let end = SimTime::from_nanos(config.sim_seconds.saturating_mul(1_000_000_000));
-            budget_overruns = resume_from.as_ref().map_or(0, |_| {
-                // Overruns are wall-clock policy, not simulation state:
-                // restart the count for the resumed attempt.
-                0
-            });
+            // `budget_overruns` starts at 0 for a resumed attempt too:
+            // overruns are wall-clock policy, not simulation state.
             let checkpoint_every = config.collect_interval();
             let mut last_checkpoint = Instant::now();
             while range.now() < end {
@@ -1739,5 +1666,46 @@ mod tests {
         shared.complete_job();
         assert!(shared.next_job().is_none(), "queue closes after last job");
         assert!(shared.queue.lock().closed);
+    }
+
+    /// `/status` is a wire format the `watch` client and CI scripts read;
+    /// this pins its exact bytes.
+    #[test]
+    fn status_json_is_byte_stable() {
+        let shared = FarmShared::new(
+            &FarmConfig {
+                tenants: 3,
+                step_budget_ms: Some(250),
+                ..FarmConfig::default()
+            },
+            2,
+        );
+        let running = shared.live_of(0).unwrap();
+        running
+            .state
+            .store(TenantState::Running as u8, Ordering::Relaxed);
+        running.steps.store(12, Ordering::Relaxed);
+        running.overruns.store(1, Ordering::Relaxed);
+        running.drain.store(true, Ordering::Relaxed);
+        let done = shared.live_of(1).unwrap();
+        done.state
+            .store(TenantState::Completed as u8, Ordering::Relaxed);
+        done.restarts.store(2, Ordering::Relaxed);
+        done.score
+            .store(SCORE_PRESENT | 3 << 32 | 5, Ordering::Relaxed);
+        assert_eq!(
+            shared.status_json(),
+            concat!(
+                r#"{"tenants":3,"threads":2,"sim_seconds":10,"scenario":false,"step_budget_ms":250,"#,
+                r#""admit_max":0,"tenants_running":1,"tenants_completed":1,"tenants_halted":0,"#,
+                r#""tenants_failed":0,"tenants_given_up":0,"tenants_drained":0,"per_tenant":["#,
+                r#"{"tenant":0,"state":"running","steps":12,"budget_overruns":1,"solve_errors":0,"#,
+                r#""restarts":0,"draining":true,"score":null},"#,
+                r#"{"tenant":1,"state":"completed","steps":0,"budget_overruns":0,"solve_errors":0,"#,
+                r#""restarts":2,"draining":false,"score":{"earned":3,"total":5}},"#,
+                r#"{"tenant":2,"state":"pending","steps":0,"budget_overruns":0,"solve_errors":0,"#,
+                r#""restarts":0,"draining":false,"score":null}]}"#
+            )
+        );
     }
 }

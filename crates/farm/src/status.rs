@@ -15,6 +15,7 @@
 //! the accept loop itself never panics or wedges on a bad client.
 
 use crate::{AdmitRejected, FarmShared};
+use sgcr_obs::json;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -137,6 +138,15 @@ fn handle(mut stream: TcpStream, shared: &FarmShared) {
     respond(&mut stream, status, content_type, &body);
 }
 
+/// The body answering an admission (`{"tenant":N}`) or a drain request
+/// (`{"tenant":N,"draining":true}`).
+fn tenant_body(tenant: usize, draining: bool) -> String {
+    json::object_string(32, |o| {
+        o.field("tenant", tenant)
+            .field_if_some("draining", draining.then_some(true));
+    }) + "\n"
+}
+
 /// Maps one parsed request onto a response triple.
 fn route(method: &str, path: &str, shared: &FarmShared) -> (&'static str, &'static str, String) {
     let not_found = || ("404 Not Found", TEXT_PLAIN, "not found\n".to_string());
@@ -153,11 +163,7 @@ fn route(method: &str, path: &str, shared: &FarmShared) -> (&'static str, &'stat
         },
         "POST" => match path {
             "/tenants" => match shared.admit() {
-                Ok(tenant) => (
-                    "201 Created",
-                    APP_JSON,
-                    format!("{{\"tenant\":{tenant}}}\n"),
-                ),
+                Ok(tenant) => ("201 Created", APP_JSON, tenant_body(tenant, false)),
                 Err(AdmitRejected::AtCapacity) => (
                     "429 Too Many Requests",
                     TEXT_PLAIN,
@@ -173,11 +179,9 @@ fn route(method: &str, path: &str, shared: &FarmShared) -> (&'static str, &'stat
         },
         "DELETE" => match path.strip_prefix("/tenants/") {
             Some(id) => match id.parse::<usize>() {
-                Ok(tenant) if shared.drain(tenant) => (
-                    "202 Accepted",
-                    APP_JSON,
-                    format!("{{\"tenant\":{tenant},\"draining\":true}}\n"),
-                ),
+                Ok(tenant) if shared.drain(tenant) => {
+                    ("202 Accepted", APP_JSON, tenant_body(tenant, true))
+                }
                 Ok(_) => (
                     "404 Not Found",
                     TEXT_PLAIN,
@@ -284,4 +288,15 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
         ));
     }
     Ok(body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tenant_bodies_are_one_json_line() {
+        assert_eq!(tenant_body(4, false), "{\"tenant\":4}\n");
+        assert_eq!(tenant_body(4, true), "{\"tenant\":4,\"draining\":true}\n");
+    }
 }

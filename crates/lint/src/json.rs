@@ -1,21 +1,16 @@
 //! JSON output for `--format json`, plus the decoder that round-trips it.
 //!
-//! The emitter is hand-rolled (the toolchain is dependency-free) and the
-//! decoder reads through the workspace's one JSON parser,
-//! [`sgcr_obs::json::parse`]; the schema is deliberately small:
+//! Both directions go through the workspace's one JSON module: the emitter
+//! builds with [`sgcr_obs::json::object`] and lays the text out with
+//! [`sgcr_obs::json::pretty`], and the decoder reads through
+//! [`sgcr_obs::json::parse`]. The schema is deliberately small:
 //!
 //! ```json
 //! {
 //!   "errors": 1,
 //!   "warnings": 0,
 //!   "diagnostics": [
-//!     {
-//!       "code": "SG0201",
-//!       "severity": "error",
-//!       "message": "...",
-//!       "context": "...",
-//!       "span": { "file": "s.scd.xml", "line": 14, "column": 7 }
-//!     }
+//!     {"code": "SG0201", "severity": "error", "message": "...", "context": "...", "span": {"file": "s.scd.xml", "line": 14, "column": 7}}
 //!   ]
 //! }
 //! ```
@@ -25,42 +20,34 @@
 //! round-trip — which is the point of having a registry.
 
 use crate::LintReport;
-use sgcr_obs::json::{parse, quote, Value};
+use sgcr_obs::json::{self, parse, Value};
 use sgcr_scl::{codes, Diagnostic, Severity, Span};
-use std::fmt::Write as _;
 
-/// Serializes a report to JSON.
+/// Serializes a report to JSON, in the shared [`json::pretty`] layout (one
+/// diagnostic per line).
 pub fn to_json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"errors\": {},", report.error_count());
-    let _ = writeln!(out, "  \"warnings\": {},", report.warning_count());
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"code\": {}, ", quote(d.code));
-        let _ = write!(out, "\"severity\": {}, ", quote(d.severity.label()));
-        let _ = write!(out, "\"message\": {}, ", quote(&d.message));
-        let _ = write!(out, "\"context\": {}", quote(&d.context));
-        if let Some(span) = &d.span {
-            let _ = write!(
-                out,
-                ", \"span\": {{\"file\": {}, \"line\": {}, \"column\": {}}}",
-                quote(&span.file),
-                span.line,
-                span.column
-            );
-        }
-        out.push('}');
-    }
-    if !report.diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let capacity = 64 + report.diagnostics.len() * 160;
+    json::pretty(&json::object_string(capacity, |o| {
+        o.field("errors", report.error_count())
+            .field("warnings", report.warning_count());
+        o.array("diagnostics", |diagnostics| {
+            for d in &report.diagnostics {
+                diagnostics.object(|o| {
+                    o.field("code", d.code)
+                        .field("severity", d.severity.label())
+                        .field("message", &d.message)
+                        .field("context", &d.context);
+                    if let Some(span) = &d.span {
+                        o.object("span", |o| {
+                            o.field("file", &span.file)
+                                .field("line", span.line)
+                                .field("column", span.column);
+                        });
+                    }
+                });
+            }
+        });
+    }))
 }
 
 /// An error while parsing report JSON.

@@ -11,92 +11,91 @@
 //! so golden-file tests can compare bytes.
 
 use crate::LintReport;
-use sgcr_obs::json::quote;
-use sgcr_scl::{codes, Severity};
+use sgcr_obs::json;
+use sgcr_scl::{codes, Diagnostic, Severity};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
-/// Serializes a report as a SARIF 2.1.0 log.
+/// Serializes a report as a SARIF 2.1.0 log, in the shared
+/// [`json::pretty`] layout.
 pub fn to_sarif(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"sgcr-lint\",\n");
-    let _ = writeln!(
-        out,
-        "          \"version\": {},",
-        quote(env!("CARGO_PKG_VERSION"))
-    );
-    out.push_str("          \"rules\": [");
-
     let used: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.code).collect();
-    for (i, code) in used.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let summary = codes::lookup(code).map(|c| c.summary).unwrap_or_default();
-        out.push_str("\n            {");
-        let _ = write!(out, "\"id\": {}, ", quote(code));
-        let _ = write!(
-            out,
-            "\"shortDescription\": {{\"text\": {}}}",
-            quote(summary)
-        );
-        out.push('}');
-    }
-    if !used.is_empty() {
-        out.push_str("\n          ");
-    }
-    out.push_str("]\n        }\n      },\n");
-    out.push_str("      \"results\": [");
+    let capacity = 512 + report.diagnostics.len() * 256;
+    json::pretty(&json::object_string(capacity, |o| {
+        o.field("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+            .field("version", "2.1.0");
+        o.array("runs", |runs| {
+            runs.object(|run| {
+                run.object("tool", |tool| {
+                    tool.object("driver", |driver| {
+                        driver
+                            .field("name", "sgcr-lint")
+                            .field("version", env!("CARGO_PKG_VERSION"));
+                        driver.array("rules", |rules| {
+                            for code in &used {
+                                let summary =
+                                    codes::lookup(code).map(|c| c.summary).unwrap_or_default();
+                                rules.object(|rule| {
+                                    rule.field("id", code).object("shortDescription", |d| {
+                                        d.field("text", summary);
+                                    });
+                                });
+                            }
+                        });
+                    });
+                });
+                run.array("results", |results| {
+                    for d in &report.diagnostics {
+                        results.object(|result| write_result(result, d));
+                    }
+                });
+            });
+        });
+    }))
+}
 
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let level = match d.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-            Severity::Info => "note",
-        };
-        out.push_str("\n        {");
-        let _ = write!(out, "\"ruleId\": {}, ", quote(d.code));
-        let _ = write!(out, "\"level\": {}, ", quote(level));
-        let _ = write!(out, "\"message\": {{\"text\": {}}}", quote(&d.message));
-        if !d.context.is_empty() {
-            let _ = write!(
-                out,
-                ", \"properties\": {{\"context\": {}}}",
-                quote(&d.context)
-            );
-        }
-        if let Some(span) = &d.span {
-            let _ = write!(
-                out,
-                ", \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-                 {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]",
-                quote(&span.file),
-                span.line.max(1),
-                span.column.max(1)
-            );
-        }
-        out.push('}');
+/// The members of one SARIF `result`: rule, level, message, the context as
+/// a property, and a physical location when the finding carries a span.
+fn write_result(result: &mut json::Object<'_>, d: &Diagnostic) {
+    let level = match d.severity {
+        Severity::Error => "error",
+        Severity::Warning => "warning",
+        Severity::Info => "note",
+    };
+    result
+        .field("ruleId", d.code)
+        .field("level", level)
+        .object("message", |m| {
+            m.field("text", &d.message);
+        });
+    if !d.context.is_empty() {
+        result.object("properties", |p| {
+            p.field("context", &d.context);
+        });
     }
-    if !report.diagnostics.is_empty() {
-        out.push_str("\n      ");
+    if let Some(span) = &d.span {
+        result.array("locations", |locations| {
+            locations.object(|location| {
+                location.object("physicalLocation", |physical| {
+                    physical
+                        .object("artifactLocation", |artifact| {
+                            artifact.field("uri", &span.file);
+                        })
+                        .object("region", |region| {
+                            region
+                                .field("startLine", span.line.max(1))
+                                .field("startColumn", span.column.max(1));
+                        });
+                });
+            });
+        });
     }
-    out.push_str("]\n    }\n  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use sgcr_scl::{Diagnostic, Span};
+    use sgcr_scl::Span;
 
     #[test]
     fn sarif_structure_is_valid_json_with_rules_and_locations() {
@@ -112,8 +111,7 @@ mod tests {
             ],
         };
         let sarif = to_sarif(&report);
-        // Must be parseable JSON (reuse the report parser's scanner via a
-        // quick structural sanity check instead).
+        assert!(json::parse(&sarif).is_ok(), "{sarif}");
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"id\": \"SG0501\""));
         assert!(sarif.contains("\"id\": \"SG6013\""));

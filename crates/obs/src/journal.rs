@@ -6,10 +6,9 @@
 //! when full, the oldest records are evicted and counted in
 //! [`crate::Telemetry::events_dropped`].
 
-use crate::json::{number as json_f64, quote as json_str};
+use crate::json;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// A typed simulation event.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,173 +301,98 @@ pub struct EventRecord {
 impl EventRecord {
     /// Serializes the record as one JSON object (one JSONL journal line).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"t_ns\":{},\"type\":{}",
-            self.seq,
-            self.t_ns,
-            json_str(self.event.kind())
-        );
-        match &self.event {
-            Event::PacketSent { host, bytes } | Event::PacketDelivered { host, bytes } => {
-                let _ = write!(out, ",\"host\":{},\"bytes\":{bytes}", json_str(host));
-            }
-            Event::PacketDropped {
-                host,
-                bytes,
-                reason,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"host\":{},\"bytes\":{bytes},\"reason\":{}",
-                    json_str(host),
-                    json_str(reason)
-                );
-            }
-            Event::SolveCompleted { iters, seconds } => {
-                let _ = write!(out, ",\"iters\":{iters},\"seconds\":{}", json_f64(*seconds));
-            }
-            Event::SolveFailed { detail } => {
-                let _ = write!(out, ",\"detail\":{}", json_str(detail));
-            }
-            Event::ProtectionTrip { ied, detail }
-            | Event::ControlExecuted { ied, detail }
-            | Event::ControlRejected { ied, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"ied\":{},\"detail\":{}",
-                    json_str(ied),
-                    json_str(detail)
-                );
-            }
-            Event::GooseSent { ied } => {
-                let _ = write!(out, ",\"ied\":{}", json_str(ied));
-            }
-            Event::ScadaAlarm { point, message } | Event::ScadaAlarmCleared { point, message } => {
-                let _ = write!(
-                    out,
-                    ",\"point\":{},\"message\":{}",
-                    json_str(point),
-                    json_str(message)
-                );
-            }
-            Event::ScadaCommand { tag, value } => {
-                let _ = write!(
-                    out,
-                    ",\"tag\":{},\"value\":{}",
-                    json_str(tag),
-                    json_f64(*value)
-                );
-            }
-            Event::PlcControl { variable, value } => {
-                let _ = write!(
-                    out,
-                    ",\"variable\":{},\"value\":{value}",
-                    json_str(variable)
-                );
-            }
-            Event::StepOverrun { step, ratio } => {
-                let _ = write!(out, ",\"step\":{step},\"ratio\":{}", json_f64(*ratio));
-            }
-            Event::StageStarted { stage } | Event::StageEnded { stage } => {
-                let _ = write!(out, ",\"stage\":{}", json_str(stage));
-            }
-            Event::ObjectiveResolved { objective, passed } => {
-                let _ = write!(
-                    out,
-                    ",\"objective\":{},\"passed\":{passed}",
-                    json_str(objective)
-                );
-            }
-            Event::AdversaryPlanned { goal, seed, stages } => {
-                let _ = write!(
-                    out,
-                    ",\"goal\":{},\"seed\":{seed},\"stages\":{stages}",
-                    json_str(goal)
-                );
-            }
-            Event::AdversaryActionStarted { stage } => {
-                let _ = write!(out, ",\"stage\":{}", json_str(stage));
-            }
-            Event::AdversaryGoalReached { objective } => {
-                let _ = write!(out, ",\"objective\":{}", json_str(objective));
-            }
-            Event::FaultInjected { target, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"target\":{},\"detail\":{}",
-                    json_str(target),
-                    json_str(detail)
-                );
-            }
-            Event::DeviceCrashed { host } | Event::DeviceRestarted { host } => {
-                let _ = write!(out, ",\"host\":{}", json_str(host));
-            }
-            Event::MeasurementsHeld { detail } => {
-                let _ = write!(out, ",\"detail\":{}", json_str(detail));
-            }
-            Event::MeasurementsRecovered { held_steps } => {
-                let _ = write!(out, ",\"held_steps\":{held_steps}");
-            }
-            Event::TagStale { tag, age_ms } => {
-                let _ = write!(out, ",\"tag\":{},\"age_ms\":{age_ms}", json_str(tag));
-            }
-            Event::GooseExpired { ied, publisher } => {
-                let _ = write!(
-                    out,
-                    ",\"ied\":{},\"publisher\":{}",
-                    json_str(ied),
-                    json_str(publisher)
-                );
-            }
-            Event::FarmStarted {
-                tenants,
-                threads,
-                sim_seconds,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"tenants\":{tenants},\"threads\":{threads},\"sim_seconds\":{sim_seconds}"
-                );
-            }
-            Event::FarmFinished {
-                tenants_completed,
-                tenants_halted,
-                tenants_failed,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"tenants_completed\":{tenants_completed},\"tenants_halted\":{tenants_halted},\"tenants_failed\":{tenants_failed}"
-                );
-            }
-            Event::TenantCheckpointed { tenant, steps } => {
-                let _ = write!(out, ",\"tenant\":{tenant},\"steps\":{steps}");
-            }
-            Event::TenantRestarted {
-                tenant,
-                restarts,
-                from_steps,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"tenant\":{tenant},\"restarts\":{restarts},\"from_steps\":{from_steps}"
-                );
-            }
-            Event::TenantGivenUp { tenant, restarts } => {
-                let _ = write!(out, ",\"tenant\":{tenant},\"restarts\":{restarts}");
-            }
-            Event::Custom { name, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"name\":{},\"detail\":{}",
-                    json_str(name),
-                    json_str(detail)
-                );
-            }
-        }
-        out.push('}');
-        out
+        json::object_string(96, |o| {
+            o.field("seq", self.seq)
+                .field("t_ns", self.t_ns)
+                .field("type", self.event.kind());
+            match &self.event {
+                Event::PacketSent { host, bytes } | Event::PacketDelivered { host, bytes } => {
+                    o.field("host", host).field("bytes", bytes)
+                }
+                Event::PacketDropped {
+                    host,
+                    bytes,
+                    reason,
+                } => o
+                    .field("host", host)
+                    .field("bytes", bytes)
+                    .field("reason", reason),
+                Event::SolveCompleted { iters, seconds } => {
+                    o.field("iters", iters).field("seconds", seconds)
+                }
+                Event::SolveFailed { detail } | Event::MeasurementsHeld { detail } => {
+                    o.field("detail", detail)
+                }
+                Event::ProtectionTrip { ied, detail }
+                | Event::ControlExecuted { ied, detail }
+                | Event::ControlRejected { ied, detail } => {
+                    o.field("ied", ied).field("detail", detail)
+                }
+                Event::GooseSent { ied } => o.field("ied", ied),
+                Event::ScadaAlarm { point, message }
+                | Event::ScadaAlarmCleared { point, message } => {
+                    o.field("point", point).field("message", message)
+                }
+                Event::ScadaCommand { tag, value } => o.field("tag", tag).field("value", value),
+                Event::PlcControl { variable, value } => {
+                    o.field("variable", variable).field("value", value)
+                }
+                Event::StepOverrun { step, ratio } => o.field("step", step).field("ratio", ratio),
+                Event::StageStarted { stage }
+                | Event::StageEnded { stage }
+                | Event::AdversaryActionStarted { stage } => o.field("stage", stage),
+                Event::ObjectiveResolved { objective, passed } => {
+                    o.field("objective", objective).field("passed", passed)
+                }
+                Event::AdversaryPlanned { goal, seed, stages } => o
+                    .field("goal", goal)
+                    .field("seed", seed)
+                    .field("stages", stages),
+                Event::AdversaryGoalReached { objective } => o.field("objective", objective),
+                Event::FaultInjected { target, detail } => {
+                    o.field("target", target).field("detail", detail)
+                }
+                Event::DeviceCrashed { host } | Event::DeviceRestarted { host } => {
+                    o.field("host", host)
+                }
+                Event::MeasurementsRecovered { held_steps } => o.field("held_steps", held_steps),
+                Event::TagStale { tag, age_ms } => o.field("tag", tag).field("age_ms", age_ms),
+                Event::GooseExpired { ied, publisher } => {
+                    o.field("ied", ied).field("publisher", publisher)
+                }
+                Event::FarmStarted {
+                    tenants,
+                    threads,
+                    sim_seconds,
+                } => o
+                    .field("tenants", tenants)
+                    .field("threads", threads)
+                    .field("sim_seconds", sim_seconds),
+                Event::FarmFinished {
+                    tenants_completed,
+                    tenants_halted,
+                    tenants_failed,
+                } => o
+                    .field("tenants_completed", tenants_completed)
+                    .field("tenants_halted", tenants_halted)
+                    .field("tenants_failed", tenants_failed),
+                Event::TenantCheckpointed { tenant, steps } => {
+                    o.field("tenant", tenant).field("steps", steps)
+                }
+                Event::TenantRestarted {
+                    tenant,
+                    restarts,
+                    from_steps,
+                } => o
+                    .field("tenant", tenant)
+                    .field("restarts", restarts)
+                    .field("from_steps", from_steps),
+                Event::TenantGivenUp { tenant, restarts } => {
+                    o.field("tenant", tenant).field("restarts", restarts)
+                }
+                Event::Custom { name, detail } => o.field("name", name).field("detail", detail),
+            };
+        })
     }
 }
 

@@ -1,67 +1,321 @@
-//! Minimal hand-rolled JSON helpers shared by every exporter in the
-//! workspace (journal JSONL, metrics snapshot, span exporters, lint report)
-//! so string escaping exists exactly once.
+//! The workspace's one JSON writer and one JSON reader.
 //!
-//! This is intentionally *not* a general JSON library: the two primitives a
-//! writer needs — quoting a string and formatting a float — plus the one
-//! JSON reader in the workspace, a small recursive-descent [`parse`] behind
-//! checkpoint decoding, the lint report round-trip and cache, and the farm
-//! status endpoint's `watch` client.
+//! Every exporter builds its document with [`object`] / [`array()`]: members
+//! are written in call order, and the builder owns every comma, bracket and
+//! string escape. Values go through [`ToJson`]. The output is compact; the
+//! four files people read (lint `--format json`, SARIF, the metrics snapshot
+//! and the ScadaBR import) pass it through [`pretty`], whose layout is fixed.
+//! [`parse`] reads any of it back. This is intentionally *not* a general
+//! JSON library.
+//!
+//! ```
+//! use sgcr_obs::json;
+//!
+//! let out = json::object_string(64, |o| {
+//!     o.field("name", "a\"b").field("ratio", 2.0).field("parent", None::<u64>);
+//!     o.array("xs", |a| {
+//!         a.item(1u64).item(true);
+//!     });
+//! });
+//! assert_eq!(out, r#"{"name":"a\"b","ratio":2.0,"parent":null,"xs":[1,true]}"#);
+//! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// Quotes a string as a JSON string literal, escaping `"`, `\`, and control
-/// characters.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(sgcr_obs::json::quote("a\"b"), r#""a\"b""#);
-/// assert_eq!(sgcr_obs::json::quote("line\nbreak"), r#""line\nbreak""#);
-/// ```
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A value the writer can emit as one JSON value.
+pub trait ToJson {
+    /// Appends the value's JSON form to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// Formatted text is a JSON string: `format_args!("{ip}")` writes a
+/// `Display` value without an intermediate `String`.
+impl ToJson for fmt::Arguments<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let _ = Escaper(out).write_fmt(*self);
+        out.push('"');
+    }
+}
+
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            c => out.push(c),
+        }
+    )*};
+}
+display_to_json!(bool, u8, u16, u32, u64, usize, i32, i64);
+
+/// Integral values keep a trailing `.0` so consumers that tell int from
+/// float see the intended type. Non-finite values become the strings
+/// `"NaN"`, `"inf"` and `"-inf"`: bare `NaN`/`Infinity` are not JSON.
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if !self.is_finite() {
+            return format_args!("{self}").write_json(out);
+        }
+        let start = out.len();
+        let _ = write!(out, "{self}");
+        // `Display` for f64 never uses exponent notation.
+        if !out[start..].contains('.') {
+            out.push_str(".0");
         }
     }
-    out.push('"');
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// Escapes `s` as the inside of a JSON string literal: `"`, `\` and
+/// control characters. Runs of plain characters are copied as one slice.
+fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        let _ = match b {
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            b'"' | b'\\' => write!(out, "\\{}", char::from(b)),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// A `fmt::Write` sink that escapes what it is given.
+struct Escaper<'a>(&'a mut String);
+
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// Writes one JSON object to `out`. `build` adds the members; the closing
+/// brace follows when it returns.
+pub fn object(out: &mut String, build: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    build(&mut Object(Members { out, empty: true }));
+    out.push('}');
+}
+
+/// Writes one JSON object into a new string with room for `capacity`
+/// bytes; see [`object`].
+pub fn object_string(capacity: usize, build: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    object(&mut out, build);
     out
 }
 
-/// Formats an `f64` as a JSON value.
-///
-/// Integral floats keep a trailing `.0` so consumers that distinguish int
-/// from float see the intended type; non-finite values become strings, since
-/// bare `NaN`/`Infinity` are not legal JSON.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(sgcr_obs::json::number(2.0), "2.0");
-/// assert_eq!(sgcr_obs::json::number(0.25), "0.25");
-/// assert_eq!(sgcr_obs::json::number(f64::NAN), "\"NaN\"");
-/// ```
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains('.') && !s.contains('e') {
-            s.push_str(".0");
+/// Writes one JSON array to `out`. `build` adds the elements; the closing
+/// bracket follows when it returns.
+pub fn array(out: &mut String, build: impl FnOnce(&mut Array<'_>)) {
+    out.push('[');
+    build(&mut Array(Members { out, empty: true }));
+    out.push(']');
+}
+
+/// The comma bookkeeping [`Object`] and [`Array`] share.
+struct Members<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Members<'_> {
+    fn next(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
         }
-        s
-    } else {
-        quote(&format!("{v}"))
+        self.out
     }
+}
+
+/// The members of an object being written by [`object`].
+pub struct Object<'a>(Members<'a>);
+
+impl Object<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.0.next();
+        key.write_json(out);
+        out.push(':');
+        out
+    }
+
+    /// Adds the member `key: value`.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        value.write_json(self.key(key));
+        self
+    }
+
+    /// Adds the member `key: value` when `value` is `Some`; omits it
+    /// otherwise (where [`field`](Self::field) would write `null`).
+    pub fn field_if_some(&mut self, key: &str, value: Option<impl ToJson>) -> &mut Self {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+
+    /// Adds the member `key: {…}`, built by `build`.
+    pub fn object(&mut self, key: &str, build: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        object(self.key(key), build);
+        self
+    }
+
+    /// Adds the member `key: […]`, built by `build`.
+    pub fn array(&mut self, key: &str, build: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        array(self.key(key), build);
+        self
+    }
+}
+
+/// The elements of an array being written by [`array()`].
+pub struct Array<'a>(Members<'a>);
+
+impl Array<'_> {
+    /// Appends `value`.
+    pub fn item(&mut self, value: impl ToJson) -> &mut Self {
+        value.write_json(self.0.next());
+        self
+    }
+
+    /// Appends an object built by `build`.
+    pub fn object(&mut self, build: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        object(self.0.next(), build);
+        self
+    }
+
+    /// Appends an array built by `build`.
+    pub fn array(&mut self, build: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        array(self.0.next(), build);
+        self
+    }
+}
+
+/// A string as a JSON string literal. Workspace emitters use
+/// [`object`]/[`array()`]; this and [`number`] remain for callers outside the
+/// workspace that assemble JSON by hand.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    s.write_json(&mut out);
+    out
+}
+
+/// An `f64` as a JSON value, with the writer's float rules.
+pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
+}
+
+/// Re-lays JSON for people to read, with one fixed rule: containers at
+/// nesting depth 1 and 2 put one member per line, indented two spaces per
+/// level; deeper containers stay on one line with `, ` and `: ` separators;
+/// empty containers stay `{}`/`[]`; the text ends with a newline. Input
+/// whitespace outside strings is dropped, so [`parse`] reads the result to
+/// the same [`Value`] as the input.
+///
+/// ```
+/// assert_eq!(
+///     sgcr_obs::json::pretty(r#"{"a":{"b":1,"c":{"d":[2,3]}},"e":[]}"#),
+///     "{\n  \"a\": {\n    \"b\": 1,\n    \"c\": {\"d\": [2, 3]}\n  },\n  \"e\": []\n}\n"
+/// );
+/// ```
+pub fn pretty(compact: &str) -> String {
+    let mut out = String::with_capacity(compact.len() + compact.len() / 4);
+    // Breaks the line inside a container at `depth` if it is a broken one.
+    let newline = |out: &mut String, depth: usize, indent: usize| {
+        if depth <= 2 {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', 2 * indent));
+        }
+    };
+    let bytes = compact.as_bytes();
+    let mut depth = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        i += 1;
+        match bytes[start] {
+            b'"' => {
+                // Copy the string literal verbatim, escapes included.
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                i = (i + 1).min(bytes.len());
+                out.push_str(&compact[start..i]);
+            }
+            open @ (b'{' | b'[') => {
+                let rest = compact[i..].trim_start();
+                let empty = if open == b'{' { "{}" } else { "[]" };
+                if rest.starts_with(&empty[1..]) {
+                    out.push_str(empty);
+                    i = compact.len() - rest.len() + 1;
+                } else {
+                    depth += 1;
+                    out.push(char::from(open));
+                    newline(&mut out, depth, depth);
+                }
+            }
+            close @ (b'}' | b']') => {
+                newline(&mut out, depth, depth.saturating_sub(1));
+                depth = depth.saturating_sub(1);
+                out.push(char::from(close));
+            }
+            b',' if depth <= 2 => {
+                out.push(',');
+                newline(&mut out, depth, depth);
+            }
+            b',' => out.push_str(", "),
+            b':' => out.push_str(": "),
+            b' ' | b'\t' | b'\n' | b'\r' => {}
+            _ => {
+                // A number or literal: copy the ASCII run.
+                while i < bytes.len() && !b",:]} \t\n\r".contains(&bytes[i]) {
+                    i += 1;
+                }
+                out.push_str(&compact[start..i]);
+            }
+        }
+    }
+    out.push('\n');
+    out
 }
 
 /// A parsed JSON value.
@@ -106,10 +360,16 @@ impl Value {
         }
     }
 
-    /// The numeric value truncated to `u64` (`None` for negatives / other kinds).
+    /// The numeric value as a `u64`, when it is one exactly: `None` for
+    /// fractions, negatives, values of 2^64 or more, and other kinds.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 => Some(*n as u64),
+            // 2^64 is exact as an f64; everything below it converts exactly.
+            Value::Number(n)
+                if *n >= 0.0 && n.fract() == 0.0 && *n < 18_446_744_073_709_551_616.0 =>
+            {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -336,12 +596,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quote_escapes_specials() {
+    fn strings_escape_specials() {
         assert_eq!(quote("plain"), "\"plain\"");
         assert_eq!(quote("q\"b\\s"), "\"q\\\"b\\\\s\"");
         assert_eq!(quote("n\nr\rt\t"), "\"n\\nr\\rt\\t\"");
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quote("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
         assert_eq!(quote("ünïcödé"), "\"ünïcödé\"");
+        let mut out = String::new();
+        format_args!("{}|{}", "a\"", 5).write_json(&mut out);
+        assert_eq!(out, "\"a\\\"|5\"");
     }
 
     #[test]
@@ -356,12 +619,82 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_writer_output() {
-        let doc = format!(
-            "{{\"name\": {}, \"n\": {}, \"ok\": true, \"none\": null, \"xs\": [1, 2.5, -3]}}",
-            quote("a\"b\nc"),
-            number(0.25)
+    fn builder_places_separators_and_nulls() {
+        let mut out = String::new();
+        object(&mut out, |o| {
+            o.object("empty", |_| {});
+            o.array("xs", |a| {
+                a.item(1u64)
+                    .item(-2i64)
+                    .item("s")
+                    .item(Some(0.5))
+                    .item(None::<bool>);
+                a.array(|_| {}).object(|o| {
+                    o.field("k", false);
+                });
+            });
+            o.field("last", u64::MAX);
+        });
+        assert_eq!(
+            out,
+            r#"{"empty":{},"xs":[1,-2,"s",0.5,null,[],{"k":false}],"last":18446744073709551615}"#
         );
+        assert!(parse(&out).is_ok());
+    }
+
+    #[test]
+    fn pretty_breaks_two_levels_and_keeps_deeper_ones_inline() {
+        let mut compact = String::new();
+        object(&mut compact, |o| {
+            o.field("n", 1u64).object("none", |_| {});
+            o.array("rows", |a| {
+                a.object(|o| {
+                    o.field("s", "a,b:{c}").array("xs", |a| {
+                        a.item(1u64).item(2u64);
+                    });
+                });
+                a.array(|_| {});
+            });
+        });
+        let text = pretty(&compact);
+        assert_eq!(
+            text,
+            "{\n  \"n\": 1,\n  \"none\": {},\n  \"rows\": [\n    \
+             {\"s\": \"a,b:{c}\", \"xs\": [1, 2]},\n    []\n  ]\n}\n"
+        );
+        assert_eq!(parse(&text), parse(&compact));
+        assert_eq!(pretty(&text), text, "pretty is idempotent");
+        assert_eq!(pretty("[]"), "[]\n");
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_unsigned_integers() {
+        let n = Value::Number;
+        assert_eq!(n(0.0).as_u64(), Some(0));
+        assert_eq!(n(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        assert_eq!(
+            n(18_446_744_073_709_549_568.0).as_u64(),
+            Some(u64::MAX - 2047)
+        );
+        assert_eq!(n(2.5).as_u64(), None);
+        assert_eq!(n(-1.0).as_u64(), None);
+        assert_eq!(n(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(n(1e300).as_u64(), None);
+        assert_eq!(n(f64::NAN).as_u64(), None);
+    }
+
+    #[test]
+    fn parse_round_trips_writer_output() {
+        let mut doc = String::new();
+        object(&mut doc, |o| {
+            o.field("name", "a\"b\nc")
+                .field("n", 0.25)
+                .field("ok", true)
+                .field("none", None::<u64>);
+            o.array("xs", |a| {
+                a.item(1u64).item(2.5).item(-3i64);
+            });
+        });
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("name").and_then(Value::as_str), Some("a\"b\nc"));
         assert_eq!(v.get("n").and_then(Value::as_f64), Some(0.25));

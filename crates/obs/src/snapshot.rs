@@ -5,13 +5,14 @@
 //!
 //! ```json
 //! {
-//!   "counters": { "net.frames_delivered": 123 },
-//!   "gauges": { "range.step_overrun_ratio": 0.02 },
+//!   "counters": {
+//!     "net.frames_delivered": 123
+//!   },
+//!   "gauges": {
+//!     "range.step_overrun_ratio": 0.02
+//!   },
 //!   "histograms": {
-//!     "powerflow.solve_seconds": {
-//!       "count": 20, "sum": 0.0042,
-//!       "buckets": [ { "le": 0.000001, "count": 0 }, { "le": "+Inf", "count": 20 } ]
-//!     }
+//!     "powerflow.solve_seconds": {"count": 20, "sum": 0.0042, "buckets": [{"le": 0.000001, "count": 0}, {"le": "+Inf", "count": 20}]}
 //!   },
 //!   "journal_dropped": 0,
 //!   "spans_dropped": 0
@@ -21,7 +22,7 @@
 //! Bucket counts are per-bucket (not cumulative); the `+Inf` bucket is
 //! always present, so the bucket counts of a histogram sum to its `count`.
 
-use crate::json::{number as json_f64, quote as json_str};
+use crate::json;
 use std::fmt::Write as _;
 
 /// A snapshot of one histogram.
@@ -72,58 +73,42 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// Renders the snapshot as the documented JSON object.
+    /// Renders the snapshot as the documented JSON object, in the shared
+    /// [`json::pretty`] layout.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {value}", json_str(name));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {}", json_str(name), json_f64(*value));
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_str(name),
-                h.count,
-                json_f64(h.sum)
-            );
-            for (j, (bound, count)) in h.buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let le = if bound.is_finite() {
-                    json_f64(*bound)
-                } else {
-                    json_str("+Inf")
-                };
-                let _ = write!(out, "{sep}{{\"le\": {le}, \"count\": {count}}}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        let _ = writeln!(out, "  \"journal_dropped\": {},", self.journal_dropped);
-        let _ = writeln!(out, "  \"spans_dropped\": {}", self.spans_dropped);
-        out.push_str("}\n");
-        out
+        json::pretty(&json::object_string(256, |o| {
+            o.object("counters", |counters| {
+                for (name, value) in &self.counters {
+                    counters.field(name, value);
+                }
+            });
+            o.object("gauges", |gauges| {
+                for (name, value) in &self.gauges {
+                    gauges.field(name, value);
+                }
+            });
+            o.object("histograms", |histograms| {
+                for (name, h) in &self.histograms {
+                    histograms.object(name, |o| {
+                        o.field("count", h.count).field("sum", h.sum);
+                        o.array("buckets", |buckets| {
+                            for (bound, count) in &h.buckets {
+                                buckets.object(|b| {
+                                    if bound.is_finite() {
+                                        b.field("le", bound);
+                                    } else {
+                                        b.field("le", "+Inf");
+                                    }
+                                    b.field("count", count);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            o.field("journal_dropped", self.journal_dropped)
+                .field("spans_dropped", self.spans_dropped);
+        }))
     }
 
     /// Renders the snapshot as aligned human-readable text.

@@ -41,7 +41,6 @@
 use crate::json;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Default span-buffer capacity: a few minutes of span-dense simulation
@@ -193,36 +192,22 @@ impl SpanRecord {
     /// Serializes the span as one JSON object (one line of the `--spans`
     /// JSONL export, symmetric with the journal's [`crate::EventRecord`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        let _ = write!(
-            out,
-            "{{\"span_id\":{},\"trace_id\":{},\"parent_span_id\":",
-            self.span_id, self.trace_id
-        );
-        match self.parent_span_id {
-            Some(parent) => {
-                let _ = write!(out, "{parent}");
+        json::object_string(160, |o| {
+            o.field("span_id", self.span_id)
+                .field("trace_id", self.trace_id)
+                .field("parent_span_id", self.parent_span_id)
+                .field("name", self.name)
+                .field("plane", self.plane.label())
+                .field("start_ns", self.start_ns)
+                .field("end_ns", self.end_ns);
+            if !self.attrs.is_empty() {
+                o.object("attrs", |attrs| {
+                    for (key, value) in &self.attrs {
+                        attrs.field(key, value);
+                    }
+                });
             }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"name\":{},\"plane\":{},\"start_ns\":{},\"end_ns\":{}",
-            json::quote(self.name),
-            json::quote(self.plane.label()),
-            self.start_ns,
-            self.end_ns
-        );
-        if !self.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (key, value)) in self.attrs.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{}:{}", json::quote(key), json::quote(value));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        })
     }
 }
 
@@ -434,42 +419,49 @@ impl Tracer {
     pub fn chrome_trace_json(&self) -> String {
         let mut spans = self.spans();
         spans.sort_by_key(|s| (s.start_ns, s.span_id));
+        // One event per line: writer-built objects joined by ",\n".
         let mut out = String::from("[\n");
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"sgcr\"}}}}"
-        );
+        json::object(&mut out, |o| {
+            o.field("ph", "M")
+                .field("pid", 1u32)
+                .field("tid", 0u32)
+                .field("name", "process_name")
+                .object("args", |args| {
+                    args.field("name", "sgcr");
+                });
+        });
         for plane in Plane::ALL {
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                plane.track(),
-                json::quote(plane.label())
-            );
+            out.push_str(",\n");
+            json::object(&mut out, |o| {
+                o.field("ph", "M")
+                    .field("pid", 1u32)
+                    .field("tid", plane.track())
+                    .field("name", "thread_name")
+                    .object("args", |args| {
+                        args.field("name", plane.label());
+                    });
+            });
         }
         for span in &spans {
             let dur_ns = span.end_ns.saturating_sub(span.start_ns);
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"trace_id\":{},\"span_id\":{}",
-                span.plane.track(),
-                json::quote(span.name),
-                json::quote(span.plane.label()),
-                json::number(TimeNs(span.start_ns).as_micros_f64()),
-                json::number(TimeNs(dur_ns).as_micros_f64()),
-                span.trace_id,
-                span.span_id,
-            );
-            if let Some(parent) = span.parent_span_id {
-                let _ = write!(out, ",\"parent_span_id\":{parent}");
-            }
-            for (key, value) in &span.attrs {
-                let _ = write!(out, ",{}:{}", json::quote(key), json::quote(value));
-            }
-            out.push_str("}}");
+            out.push_str(",\n");
+            json::object(&mut out, |o| {
+                o.field("ph", "X")
+                    .field("pid", 1u32)
+                    .field("tid", span.plane.track())
+                    .field("name", span.name)
+                    .field("cat", span.plane.label())
+                    .field("ts", TimeNs(span.start_ns).as_micros_f64())
+                    .field("dur", TimeNs(dur_ns).as_micros_f64())
+                    .object("args", |args| {
+                        args.field("trace_id", span.trace_id)
+                            .field("span_id", span.span_id)
+                            .field_if_some("parent_span_id", span.parent_span_id);
+                        for (key, value) in &span.attrs {
+                            args.field(key, value);
+                        }
+                    });
+            });
         }
         out.push_str("\n]\n");
         out

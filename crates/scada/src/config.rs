@@ -3,6 +3,7 @@
 //! plus the translation to ScadaBR-style import JSON that the paper's
 //! toolchain performs.
 
+use sgcr_obs::json;
 use sgcr_xml::Document;
 use std::fmt;
 
@@ -307,67 +308,55 @@ impl ScadaConfig {
     }
 
     /// Translates to the ScadaBR-style import JSON the paper's script emits
-    /// (`dataSources` + `dataPoints` arrays).
+    /// (`dataSources` + `dataPoints` arrays), in the shared
+    /// [`json::pretty`] layout (one source or point per line).
     pub fn to_scadabr_json(&self) -> String {
-        fn json_escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\n  \"dataSources\": [\n");
-        for (i, source) in self.sources.iter().enumerate() {
-            let (type_name, extra) = match &source.protocol {
-                SourceProtocol::Modbus { unit } => (
-                    "MODBUS_IP",
-                    format!(", \"slaveId\": {unit}, \"transportType\": \"TCP\""),
-                ),
-                SourceProtocol::Mms => ("IEC61850", String::new()),
-            };
-            out.push_str(&format!(
-                "    {{\"xid\": \"DS_{}\", \"name\": \"{}\", \"type\": \"{}\", \"host\": \"{}\", \"port\": {}, \"updatePeriods\": {}{}}}{}\n",
-                i + 1,
-                json_escape(&source.name),
-                type_name,
-                json_escape(&source.ip),
-                source.port,
-                source.poll_ms,
-                extra,
-                if i + 1 < self.sources.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"dataPoints\": [\n");
-        let total: usize = self.sources.iter().map(|s| s.points.len()).sum();
-        let mut emitted = 0usize;
-        for (i, source) in self.sources.iter().enumerate() {
-            for point in &source.points {
-                emitted += 1;
-                let locator = match &point.address {
-                    PointAddress::Modbus { kind, address } => format!(
-                        "\"range\": \"{}\", \"offset\": {}",
-                        match kind {
-                            ModbusPointKind::Coil => "COIL_STATUS",
-                            ModbusPointKind::Discrete => "INPUT_STATUS",
-                            ModbusPointKind::Holding => "HOLDING_REGISTER",
-                            ModbusPointKind::Input => "INPUT_REGISTER",
-                        },
-                        address
-                    ),
-                    PointAddress::Mms { item } => {
-                        format!("\"objectReference\": \"{}\"", json_escape(item))
-                    }
-                };
-                out.push_str(&format!(
-                    "    {{\"xid\": \"DP_{}\", \"name\": \"{}\", \"dataSourceXid\": \"DS_{}\", {}, \"multiplier\": {}, \"settable\": {}}}{}\n",
-                    emitted,
-                    json_escape(&point.name),
-                    i + 1,
-                    locator,
-                    point.scale,
-                    point.writable,
-                    if emitted < total { "," } else { "" }
-                ));
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::pretty(&json::object_string(256 + self.sources.len() * 512, |o| {
+            o.array("dataSources", |sources| {
+                for (i, source) in self.sources.iter().enumerate() {
+                    let type_name = match source.protocol {
+                        SourceProtocol::Modbus { .. } => "MODBUS_IP",
+                        SourceProtocol::Mms => "IEC61850",
+                    };
+                    sources.object(|o| {
+                        o.field("xid", format_args!("DS_{}", i + 1))
+                            .field("name", &source.name)
+                            .field("type", type_name)
+                            .field("host", &source.ip)
+                            .field("port", source.port)
+                            .field("updatePeriods", source.poll_ms);
+                        if let SourceProtocol::Modbus { unit } = source.protocol {
+                            o.field("slaveId", unit).field("transportType", "TCP");
+                        }
+                    });
+                }
+            });
+            o.array("dataPoints", |points| {
+                let sources = self.sources.iter().enumerate();
+                let all = sources.flat_map(|(i, s)| s.points.iter().map(move |p| (i + 1, p)));
+                for (n, (source, point)) in all.enumerate() {
+                    points.object(|o| {
+                        o.field("xid", format_args!("DP_{}", n + 1))
+                            .field("name", &point.name)
+                            .field("dataSourceXid", format_args!("DS_{source}"));
+                        match &point.address {
+                            PointAddress::Modbus { kind, address } => {
+                                let range = match kind {
+                                    ModbusPointKind::Coil => "COIL_STATUS",
+                                    ModbusPointKind::Discrete => "INPUT_STATUS",
+                                    ModbusPointKind::Holding => "HOLDING_REGISTER",
+                                    ModbusPointKind::Input => "INPUT_REGISTER",
+                                };
+                                o.field("range", range).field("offset", address)
+                            }
+                            PointAddress::Mms { item } => o.field("objectReference", item),
+                        };
+                        o.field("multiplier", point.scale)
+                            .field("settable", point.writable);
+                    });
+                }
+            });
+        }))
     }
 
     /// Finds a point and its source by tag name.

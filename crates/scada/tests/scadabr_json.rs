@@ -1,50 +1,10 @@
 //! Structural validation of the ScadaBR-style JSON translation — the
 //! paper's "script to translate the SCADA Config XML into a JSON format
-//! that SCADABR can import". We validate with a minimal JSON reader so the
-//! output is guaranteed parseable by a real importer.
+//! that SCADABR can import". Every case reads the output back through the
+//! workspace's JSON parser, so it is guaranteed parseable by a real importer.
 
+use sgcr_obs::json::{self, Value};
 use sgcr_scada::ScadaConfig;
-
-/// A tiny JSON structural validator: checks balanced braces/brackets,
-/// quoted strings, and `"key": value` shapes. Returns the number of objects.
-fn validate_json(text: &str) -> Result<usize, String> {
-    let mut depth_obj = 0i32;
-    let mut depth_arr = 0i32;
-    let mut objects = 0usize;
-    let mut in_string = false;
-    let mut prev = ' ';
-    for c in text.chars() {
-        if in_string {
-            if c == '"' && prev != '\\' {
-                in_string = false;
-            }
-            prev = c;
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                depth_obj += 1;
-                objects += 1;
-            }
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err(format!("unbalanced at {c:?}"));
-        }
-        prev = c;
-    }
-    if in_string {
-        return Err("unterminated string".into());
-    }
-    if depth_obj != 0 || depth_arr != 0 {
-        return Err(format!("unbalanced: obj={depth_obj} arr={depth_arr}"));
-    }
-    Ok(objects)
-}
 
 const CONFIG: &str = r#"<ScadaConfig name="json-test">
   <DataSource name="PLC &quot;main&quot;" type="MODBUS" ip="10.0.0.1" pollMs="500">
@@ -56,21 +16,44 @@ const CONFIG: &str = r#"<ScadaConfig name="json-test">
   </DataSource>
 </ScadaConfig>"#;
 
+fn parsed(config: &ScadaConfig) -> Value {
+    let text = config.to_scadabr_json();
+    json::parse(&text).unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{text}"))
+}
+
+fn array<'a>(doc: &'a Value, key: &str) -> &'a [Value] {
+    doc.get(key).and_then(Value::as_array).unwrap()
+}
+
 #[test]
 fn json_is_structurally_valid() {
     let config = ScadaConfig::parse(CONFIG).unwrap();
-    let json = config.to_scadabr_json();
-    let objects = validate_json(&json).expect("valid JSON structure");
-    // Root + 2 sources + 3 points.
-    assert_eq!(objects, 6, "{json}");
+    let doc = parsed(&config);
+    assert_eq!(array(&doc, "dataSources").len(), 2);
+    assert_eq!(array(&doc, "dataPoints").len(), 3);
 }
 
 #[test]
 fn json_escapes_quotes_in_names() {
     let config = ScadaConfig::parse(CONFIG).unwrap();
-    let json = config.to_scadabr_json();
-    assert!(json.contains(r#"PLC \"main\""#), "{json}");
-    validate_json(&json).expect("escaped JSON still valid");
+    assert!(config.to_scadabr_json().contains(r#"PLC \"main\""#));
+    let doc = parsed(&config);
+    let name = array(&doc, "dataSources")[0]
+        .get("name")
+        .and_then(Value::as_str);
+    assert_eq!(name, Some("PLC \"main\""));
+}
+
+#[test]
+fn json_escapes_control_characters_in_names() {
+    let xml = CONFIG.replace("IED1\" type", "IED&#10;one&#9;two\" type");
+    let config = ScadaConfig::parse(&xml).unwrap();
+    assert_eq!(config.sources[1].name, "IED\none\ttwo");
+    let doc = parsed(&config);
+    let name = array(&doc, "dataSources")[1]
+        .get("name")
+        .and_then(Value::as_str);
+    assert_eq!(name, Some("IED\none\ttwo"));
 }
 
 #[test]
@@ -82,24 +65,32 @@ fn json_carries_addressing_for_both_protocols() {
     assert!(json.contains("\"objectReference\": \"IED1LD0/MMXU1$MX$PhV$mag$f\""));
     assert!(json.contains("\"settable\": true"));
     assert!(json.contains("\"multiplier\": 0.1"));
+    assert!(
+        json.contains("\"multiplier\": 1.0"),
+        "integral scales keep float shape"
+    );
+}
+
+#[test]
+fn empty_config_has_empty_arrays() {
+    let config = ScadaConfig::parse(r#"<ScadaConfig name="empty"/>"#).unwrap();
+    assert_eq!(
+        config.to_scadabr_json(),
+        "{\n  \"dataSources\": [],\n  \"dataPoints\": []\n}\n"
+    );
 }
 
 #[test]
 fn every_point_references_an_emitted_source() {
     let config = ScadaConfig::parse(CONFIG).unwrap();
-    let json = config.to_scadabr_json();
-    for i in 1..=2 {
-        assert!(json.contains(&format!("\"xid\": \"DS_{i}\"")));
-    }
-    for i in 1..=3 {
-        assert!(json.contains(&format!("\"xid\": \"DP_{i}\"")));
-    }
-    // Data points only reference defined sources.
-    for line in json.lines().filter(|l| l.contains("dataSourceXid")) {
-        assert!(
-            line.contains("\"dataSourceXid\": \"DS_1\"")
-                || line.contains("\"dataSourceXid\": \"DS_2\""),
-            "{line}"
-        );
+    let doc = parsed(&config);
+    let xid = |v: &Value| v.get("xid").and_then(Value::as_str).unwrap().to_string();
+    let sources: Vec<String> = array(&doc, "dataSources").iter().map(xid).collect();
+    assert_eq!(sources, ["DS_1", "DS_2"]);
+    let points: Vec<String> = array(&doc, "dataPoints").iter().map(xid).collect();
+    assert_eq!(points, ["DP_1", "DP_2", "DP_3"]);
+    for point in array(&doc, "dataPoints") {
+        let source = point.get("dataSourceXid").and_then(Value::as_str).unwrap();
+        assert!(sources.iter().any(|s| s == source), "{source}");
     }
 }

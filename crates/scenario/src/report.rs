@@ -6,7 +6,7 @@
 //! running the same scenario on the same bundle twice yields identical
 //! bytes. A failed objective is always *reported* as failed, never dropped.
 
-use sgcr_obs::json::{number, quote};
+use sgcr_obs::json;
 use std::fmt::Write as _;
 
 /// What happened to one stage.
@@ -100,54 +100,41 @@ impl ExerciseReport {
 
     /// Serializes the report as a single deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"scenario\":{},\"description\":{},\"duration_ms\":{},\"stages\":[",
-            quote(&self.scenario),
-            quote(&self.description),
-            self.duration_ms
-        );
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"kind\":{},\"started_ms\":{},\"ended_ms\":{},\"detail\":{}}}",
-                quote(&stage.id),
-                quote(stage.kind),
-                opt_u64(stage.started_ms),
-                opt_u64(stage.ended_ms),
-                quote(&stage.detail)
-            );
-        }
-        out.push_str("],\"objectives\":[");
-        for (i, objective) in self.objectives.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"description\":{},\"passed\":{},\"resolved_at_ms\":{},\"detail\":{},\"points\":{},\"earned\":{}}}",
-                quote(&objective.id),
-                quote(&objective.description),
-                objective.passed,
-                objective.resolved_at_ms,
-                quote(&objective.detail),
-                objective.points,
-                objective.earned
-            );
-        }
-        let score = self.score();
-        let _ = write!(
-            out,
-            "],\"score\":{{\"earned\":{},\"total\":{},\"percent\":{}}}}}",
-            score.earned,
-            score.total,
-            number(score.percent())
-        );
-        out
+        json::object_string(1024, |o| {
+            o.field("scenario", &self.scenario)
+                .field("description", &self.description)
+                .field("duration_ms", self.duration_ms);
+            o.array("stages", |stages| {
+                for stage in &self.stages {
+                    stages.object(|o| {
+                        o.field("id", &stage.id)
+                            .field("kind", stage.kind)
+                            .field("started_ms", stage.started_ms)
+                            .field("ended_ms", stage.ended_ms)
+                            .field("detail", &stage.detail);
+                    });
+                }
+            });
+            o.array("objectives", |objectives| {
+                for objective in &self.objectives {
+                    objectives.object(|o| {
+                        o.field("id", &objective.id)
+                            .field("description", &objective.description)
+                            .field("passed", objective.passed)
+                            .field("resolved_at_ms", objective.resolved_at_ms)
+                            .field("detail", &objective.detail)
+                            .field("points", objective.points)
+                            .field("earned", objective.earned);
+                    });
+                }
+            });
+            let score = self.score();
+            o.object("score", |o| {
+                o.field("earned", score.earned)
+                    .field("total", score.total)
+                    .field("percent", score.percent());
+            });
+        })
     }
 
     /// Renders the report as terminal-friendly text.
@@ -197,13 +184,6 @@ impl ExerciseReport {
             self.failed_count()
         );
         out
-    }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
     }
 }
 

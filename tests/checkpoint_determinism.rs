@@ -176,3 +176,26 @@ fn malformed_checkpoint_documents_fail_to_decode() {
         }
     }
 }
+
+#[test]
+fn non_integral_or_huge_step_counts_fail_to_decode() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    let mut range = RangeBuilder::from_model(model)
+        .build()
+        .expect("range instantiates");
+    range.run_for(SimDuration::from_secs(1));
+    let encoded = range.checkpoint().to_json();
+    let steps = format!("\"steps\":{},", range.steps_total());
+    assert!(encoded.contains(&steps));
+    Checkpoint::from_json(&encoded).expect("the untouched checkpoint decodes");
+    // Truncating 2.5 or saturating 1e300 would make `resume` replay a step
+    // count the checkpoint never recorded (about 2^64 steps for 1e300).
+    for bad in ["2.5", "1e300", "-1", "18446744073709551616"] {
+        let tampered = encoded.replacen(&steps, &format!("\"steps\":{bad},"), 1);
+        assert_ne!(tampered, encoded);
+        match Checkpoint::from_json(&tampered) {
+            Err(CheckpointError::Decode { .. }) => {}
+            other => panic!("steps {bad} must fail to decode, got {other:?}"),
+        }
+    }
+}

@@ -96,11 +96,18 @@ fn metrics_json_is_well_formed_and_carries_golden_keys() {
         .unwrap_or(0);
     assert!(solve_count > 0);
     assert!(json.contains(&format!("\"count\": {solve_count}")));
-    // Balanced braces is a cheap well-formedness proxy for the hand-rolled
-    // serializer (strings in metric names never contain braces).
-    let opens = json.matches('{').count();
-    let closes = json.matches('}').count();
-    assert_eq!(opens, closes, "unbalanced JSON:\n{json}");
+    let doc = sg_cyber_range::obs::json::parse(&json)
+        .unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{json}"));
+    let solve = doc
+        .get("histograms")
+        .and_then(|h| h.get("powerflow.solve_seconds"))
+        .expect("solve histogram serialized");
+    assert_eq!(
+        solve
+            .get("count")
+            .and_then(sg_cyber_range::obs::json::Value::as_u64),
+        Some(solve_count)
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
 use sg_cyber_range::models::epic_bundle;
+use sg_cyber_range::obs::json::{self, Value};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,26 +18,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Extracts the integer value of `"key":N` from a flat JSON line, or `None`
-/// when the key is absent or its value is not a number (e.g. `null`).
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the (possibly fractional) value of `"key":N` from a flat JSON
-/// line.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A required unsigned integer member of a parsed object.
+fn uint(value: &Value, key: &str) -> u64 {
+    value
+        .get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("{key} must be an unsigned integer"))
 }
 
 #[test]
@@ -73,28 +60,26 @@ fn cli_exports_valid_trace_and_span_files() {
 
     // --- Span log: one JSON object per line, resolvable causal links. ---
     let spans = std::fs::read_to_string(&spans_path).expect("spans file written");
-    let lines: Vec<&str> = spans.lines().collect();
-    assert!(lines.len() > 100, "a 2 s run produces many spans");
+    let records: Vec<Value> = spans
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    assert!(records.len() > 100, "a 2 s run produces many spans");
     let mut trace_of_span: HashMap<u64, u64> = HashMap::new();
-    for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
-        let span_id = json_u64(line, "span_id").expect("span_id present");
-        let trace_id = json_u64(line, "trace_id").expect("trace_id present");
-        let start = json_u64(line, "start_ns").expect("start_ns present");
-        let end = json_u64(line, "end_ns").expect("end_ns present");
-        assert!(end >= start, "span interval must not be inverted: {line}");
-        trace_of_span.insert(span_id, trace_id);
+    for span in &records {
+        let start = uint(span, "start_ns");
+        let end = uint(span, "end_ns");
+        assert!(end >= start, "span interval must not be inverted: {span:?}");
+        trace_of_span.insert(uint(span, "span_id"), uint(span, "trace_id"));
     }
     let mut roots = 0usize;
-    for line in &lines {
-        let span_id = json_u64(line, "span_id").unwrap();
-        let trace_id = json_u64(line, "trace_id").unwrap();
-        match json_u64(line, "parent_span_id") {
-            None => {
-                assert!(line.contains("\"parent_span_id\":null"), "line: {line}");
-                roots += 1;
-            }
+    for span in &records {
+        let span_id = uint(span, "span_id");
+        let trace_id = uint(span, "trace_id");
+        match span.get("parent_span_id") {
+            Some(Value::Null) => roots += 1,
             Some(parent) => {
+                let parent = parent.as_u64().expect("parent_span_id is an id or null");
                 // Every parent reference resolves to a recorded span of the
                 // same trace — no dangling IDs anywhere in the file.
                 let parent_trace = *trace_of_span
@@ -105,41 +90,62 @@ fn cli_exports_valid_trace_and_span_files() {
                     "span {span_id} and parent {parent} must share a trace"
                 );
             }
+            None => panic!("span {span_id} lacks parent_span_id"),
         }
     }
     assert!(roots > 0, "at least one trace root (the step spans)");
 
-    // --- Chrome trace: track metadata + complete events, monotonic ts. ---
+    // --- Chrome trace: one event per line, track metadata + complete
+    // events, monotonic ts. ---
     let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let trace = trace.trim();
-    assert!(trace.starts_with('[') && trace.ends_with(']'));
-    assert_eq!(trace.matches('{').count(), trace.matches('}').count());
-    for plane in ["range", "power", "net", "control", "scada"] {
-        assert!(
-            trace.contains(&format!("\"name\":\"{plane}\"")),
-            "plane track {plane} declared"
-        );
+    let doc = json::parse(&trace).expect("trace is one JSON document");
+    let trace_events = doc.as_array().expect("trace is a JSON array");
+    let lines: Vec<&str> = trace.lines().collect();
+    assert_eq!(lines.first(), Some(&"["));
+    assert_eq!(lines.last(), Some(&"]"));
+    assert_eq!(lines.len(), trace_events.len() + 2, "one event per line");
+    for (line, event) in lines[1..lines.len() - 1].iter().zip(trace_events) {
+        let line = line.strip_suffix(',').unwrap_or(line);
+        assert_eq!(json::parse(line).as_ref(), Ok(event), "line: {line}");
     }
+    let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+    let tracks: Vec<String> = trace_events
+        .iter()
+        .filter(|e| text(e, "name").as_deref() == Some("thread_name"))
+        .filter_map(|e| e.get("args").and_then(|a| text(a, "name")))
+        .collect();
+    assert_eq!(tracks, ["range", "power", "net", "control", "scada"]);
     let mut events = 0usize;
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
-    for line in trace.lines() {
-        let line = line.trim_start_matches('[').trim_end_matches(']');
-        if line.contains("\"ph\":\"M\"") {
-            assert!(
-                line.contains("\"process_name\"") || line.contains("\"thread_name\""),
-                "metadata event: {line}"
-            );
-            continue;
-        }
-        if !line.contains("\"ph\":\"X\"") {
-            continue;
+    for event in trace_events {
+        match text(event, "ph").as_deref() {
+            Some("M") => {
+                let name = text(event, "name");
+                assert!(
+                    matches!(name.as_deref(), Some("process_name" | "thread_name")),
+                    "metadata event: {event:?}"
+                );
+                continue;
+            }
+            Some("X") => {}
+            other => panic!("unexpected phase {other:?}"),
         }
         events += 1;
-        let tid = json_u64(line, "tid").expect("complete events carry a tid");
-        let ts = json_f64(line, "ts").expect("complete events carry a ts");
-        assert!(json_f64(line, "dur").expect("dur present") >= 0.0);
-        assert!(json_u64(line, "trace_id").is_some(), "IDs ride in args");
-        assert!(json_u64(line, "span_id").is_some());
+        let tid = uint(event, "tid");
+        let ts = event
+            .get("ts")
+            .and_then(Value::as_f64)
+            .expect("complete events carry a ts");
+        assert!(
+            event
+                .get("dur")
+                .and_then(Value::as_f64)
+                .expect("dur present")
+                >= 0.0
+        );
+        let args = event.get("args").expect("IDs ride in args");
+        uint(args, "trace_id");
+        uint(args, "span_id");
         if let Some(prev) = last_ts.insert(tid, ts) {
             assert!(
                 ts >= prev,
@@ -147,11 +153,16 @@ fn cli_exports_valid_trace_and_span_files() {
             );
         }
     }
-    assert_eq!(events, lines.len(), "every span becomes one complete event");
+    assert_eq!(
+        events,
+        records.len(),
+        "every span becomes one complete event"
+    );
 
     // --- Metrics snapshot surfaces the span-buffer drop counter. ---
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
-    assert!(metrics.contains("\"spans_dropped\": 0"), "{metrics}");
+    let metrics = json::parse(&metrics).expect("metrics file is JSON");
+    assert_eq!(uint(&metrics, "spans_dropped"), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
