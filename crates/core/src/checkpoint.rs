@@ -317,8 +317,6 @@ impl Checkpoint {
                         "interval_ns",
                         self.settings.interval.map(|interval| interval.as_nanos()),
                     )
-                    .field("step_stats_capacity", self.settings.step_stats_capacity)
-                    .field("solve_errors_capacity", self.settings.solve_errors_capacity)
                     .field(
                         "fault_seed",
                         self.settings.fault_seed.map(|seed| seed.to_string()),
@@ -388,13 +386,6 @@ impl Checkpoint {
                     .ok_or_else(|| bad("bad settings.interval_ns".to_string()))?,
             )),
         };
-        let capacity = |key: &str| -> Result<usize, CheckpointError> {
-            settings_value
-                .get(key)
-                .and_then(json::Value::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| bad(format!("missing settings.{key}")))
-        };
         let fault_seed = match settings_value.get("fault_seed") {
             None | Some(json::Value::Null) => None,
             Some(v) => {
@@ -407,10 +398,10 @@ impl Checkpoint {
                 )
             }
         };
+        // Checkpoints written before retention became fixed also carry
+        // `step_stats_capacity` and `solve_errors_capacity`; they are ignored.
         let settings = RangeSettings {
             interval,
-            step_stats_capacity: capacity("step_stats_capacity")?,
-            solve_errors_capacity: capacity("solve_errors_capacity")?,
             fault_seed,
         };
         let store_value = root

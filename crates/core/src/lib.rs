@@ -69,10 +69,7 @@ pub use keymap::{
     breaker_state_key, bus_va_key, bus_vm_key, load_p_key, source_p_key, split_scoped,
 };
 pub use model::{CompiledModel, CompiledPlc, CompiledScada};
-pub use range::{
-    CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats, DEFAULT_SOLVE_ERRORS_CAPACITY,
-    DEFAULT_STEP_STATS_CAPACITY,
-};
+pub use range::{CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats};
 pub use sgml::ied_config::{IedConfig, IedConfigError};
 pub use sgml::plc_config::{
     PlcConfig, PlcConfigError, PlcDef, PlcGooseRule, PlcLogic, PlcReadRule, PlcWriteRule,

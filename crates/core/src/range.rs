@@ -37,8 +37,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-pub use crate::state::{DEFAULT_SOLVE_ERRORS_CAPACITY, DEFAULT_STEP_STATS_CAPACITY};
-
 /// The set of SG-ML model files a cyber range is generated from — the
 /// left-hand side of the paper's Figure 2.
 #[derive(Debug, Clone, Default)]
@@ -189,8 +187,7 @@ pub struct RangeBuilder {
 impl RangeBuilder {
     /// Starts a builder over an already-compiled, `Arc`-shared model with
     /// defaults: interval from the model (100 ms absent a Power Extra
-    /// config), telemetry disabled, and the
-    /// [default](DEFAULT_STEP_STATS_CAPACITY) retention bounds.
+    /// config) and telemetry disabled.
     pub fn from_model(model: Arc<CompiledModel>) -> RangeBuilder {
         RangeBuilder {
             model,
@@ -211,22 +208,6 @@ impl RangeBuilder {
     /// and the co-simulation loop itself.
     pub fn telemetry(mut self, telemetry: Telemetry) -> RangeBuilder {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Bounds how many per-step [`StepStats`] records the range retains
-    /// (oldest evicted first; minimum 1). [`RangeState::steps_total`] keeps
-    /// the lifetime count regardless.
-    pub fn step_stats_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.settings.step_stats_capacity = capacity.max(1);
-        self
-    }
-
-    /// Bounds how many solve errors the range retains (oldest evicted first;
-    /// minimum 1). [`RangeState::solve_errors_total`] keeps the lifetime
-    /// count regardless.
-    pub fn solve_errors_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.settings.solve_errors_capacity = capacity.max(1);
         self
     }
 

@@ -25,40 +25,25 @@ use sgcr_powerflow::{PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSc
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::{HashMap, VecDeque};
 
-/// Default bound on retained per-step statistics — large enough for any of
-/// the paper's experiments, small enough to cap a long-running range.
-pub const DEFAULT_STEP_STATS_CAPACITY: usize = 65_536;
+/// Bound on retained per-step statistics — large enough for any of the
+/// paper's experiments, small enough to cap a long-running range.
+const STEP_STATS_CAPACITY: usize = 65_536;
 
-/// Default bound on retained solve errors. A persistently diverging model
-/// fails every step, so retention must be capped the same way as step
-/// statistics; [`RangeState::solve_errors_total`] keeps the lifetime count.
-pub const DEFAULT_SOLVE_ERRORS_CAPACITY: usize = 1_024;
+/// Bound on retained solve errors. A persistently diverging model fails
+/// every step, so retention must be capped the same way as step statistics;
+/// [`RangeState::solve_errors_total`] keeps the lifetime count.
+const SOLVE_ERRORS_CAPACITY: usize = 1_024;
 
 /// Per-tenant instantiation settings — everything about a range that is
 /// *not* derived from the model files. Captured by every
 /// [`Checkpoint`](crate::Checkpoint) so a resumed range replays
 /// byte-identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RangeSettings {
     /// Step-interval override (`None` = the model's interval).
     pub interval: Option<SimDuration>,
-    /// Bound on retained [`StepStats`] records.
-    pub step_stats_capacity: usize,
-    /// Bound on retained solve errors.
-    pub solve_errors_capacity: usize,
     /// Deterministic fault-injection seed (`None` = seed 0).
     pub fault_seed: Option<u64>,
-}
-
-impl Default for RangeSettings {
-    fn default() -> RangeSettings {
-        RangeSettings {
-            interval: None,
-            step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
-            solve_errors_capacity: DEFAULT_SOLVE_ERRORS_CAPACITY,
-            fault_seed: None,
-        }
-    }
 }
 
 /// The mutable simulation state of one tenant's cyber range.
@@ -87,15 +72,13 @@ pub struct RangeState {
     pub scada: Option<ScadaHandle>,
     /// The latest power-flow solution.
     pub last_result: PowerFlowResult,
-    /// Per-step wall-clock statistics, bounded to `step_stats_capacity`.
+    /// Per-step wall-clock statistics, bounded to [`STEP_STATS_CAPACITY`].
     step_stats: VecDeque<StepStats>,
-    step_stats_capacity: usize,
     /// Lifetime number of power-flow steps executed.
     steps_total: u64,
     /// Errors from failed re-solves (range keeps running with stale state),
-    /// bounded to `solve_errors_capacity`.
+    /// bounded to [`SOLVE_ERRORS_CAPACITY`].
     solve_errors: VecDeque<(u64, PowerFlowError)>,
-    solve_errors_capacity: usize,
     /// Lifetime number of failed re-solves.
     solve_errors_total: u64,
     /// Degradation flags shared with every virtual IED and the SCADA HMI;
@@ -337,10 +320,8 @@ impl RangeState {
             scada,
             last_result: PowerFlowResult::default(),
             step_stats: VecDeque::new(),
-            step_stats_capacity: settings.step_stats_capacity,
             steps_total: 0,
             solve_errors: VecDeque::new(),
-            solve_errors_capacity: settings.solve_errors_capacity,
             solve_errors_total: 0,
             degradation_signals,
             held_since_step: None,
@@ -538,7 +519,7 @@ impl RangeState {
             }
             Err(e) => {
                 let detail = e.to_string();
-                if self.solve_errors.len() == self.solve_errors_capacity {
+                if self.solve_errors.len() == SOLVE_ERRORS_CAPACITY {
                     self.solve_errors.pop_front();
                 }
                 self.solve_errors.push_back((t1.as_millis(), e));
@@ -577,7 +558,7 @@ impl RangeState {
             self.plane_hists.other.observe(other);
         }
 
-        if self.step_stats.len() == self.step_stats_capacity {
+        if self.step_stats.len() == STEP_STATS_CAPACITY {
             self.step_stats.pop_front();
         }
         self.step_stats.push_back(StepStats {
@@ -704,8 +685,8 @@ impl RangeState {
     }
 
     /// Retained per-step wall-clock statistics, oldest first. Retention is
-    /// bounded (see [`RangeBuilder::step_stats_capacity`](crate::RangeBuilder::step_stats_capacity));
-    /// use [`steps_total`](RangeState::steps_total) for the lifetime count.
+    /// bounded to the most recent 65 536 steps; use
+    /// [`steps_total`](RangeState::steps_total) for the lifetime count.
     pub fn step_stats(&self) -> impl ExactSizeIterator<Item = &StepStats> + '_ {
         self.step_stats.iter()
     }
@@ -719,9 +700,8 @@ impl RangeState {
     /// The most recent errors from failed re-solves `(sim_time_ms, error)`,
     /// oldest first. The range keeps running on the held last-good solution
     /// after a failure (see [`measurements_held`](RangeState::measurements_held)).
-    /// Retention is bounded (see
-    /// [`RangeBuilder::solve_errors_capacity`](crate::RangeBuilder::solve_errors_capacity));
-    /// use [`solve_errors_total`](RangeState::solve_errors_total) for the
+    /// Retention is bounded to the most recent 1 024 failures; use
+    /// [`solve_errors_total`](RangeState::solve_errors_total) for the
     /// lifetime count.
     pub fn solve_errors(&self) -> impl ExactSizeIterator<Item = &(u64, PowerFlowError)> + '_ {
         self.solve_errors.iter()

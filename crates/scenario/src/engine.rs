@@ -15,6 +15,7 @@
 //! declaration order — no wall clock, no randomness — so a scenario's
 //! after-action report is byte-identical run after run.
 
+use crate::check::{check, Targets};
 use crate::report::{ExerciseReport, ObjectiveOutcome, StageOutcome};
 use crate::spec::{
     Adversary, AttackerHost, Check, LinkEffect, Objective, Scenario, Stage, StageAction,
@@ -118,13 +119,10 @@ struct Engine {
 ///
 /// # Errors
 ///
-/// Returns [`ExerciseError`] when the scenario does not fit the range:
-/// duplicate or dangling stage ids, dependency cycles, unknown hosts,
-/// victims, power elements, link endpoints or objective targets, a cyber
-/// stage host that is not a declared attacker host (generated hosts already
-/// run their own apps), more than one cyber stage per attacker host (a host
-/// runs at most one app), or SCADA objectives on a range without SCADA.
-/// A *failed objective is not an error* — it is a scored result.
+/// Returns [`ExerciseError`] when the scenario does not fit the range: the
+/// first [`check`] finding (the same `SG5xxx` rules `sgcr-lint` applies),
+/// led by its code and `line:column`. A *failed objective is not an
+/// error* — it is a scored result.
 pub fn run_exercise(
     range: &mut CyberRange,
     scenario: &Scenario,
@@ -152,13 +150,10 @@ pub fn run_exercise(
     }
 
     for host in &scenario.hosts {
-        let ip: Ipv4Addr = host.ip.parse().map_err(|_| {
-            err(format!(
-                "host {:?} has unparsable ip {:?}",
-                host.name, host.ip
-            ))
-        })?;
-        range.add_host(&host.name, ip, &host.switch);
+        // `check` refused unparsable addresses above.
+        if let Ok(ip) = host.ip.parse::<Ipv4Addr>() {
+            range.add_host(&host.name, ip, &host.switch);
+        }
     }
 
     let base_ms = range.now().as_millis();
@@ -344,251 +339,54 @@ fn expand_adversary(scenario: &Scenario, plan: &CampaignPlan) -> Scenario {
     expanded
 }
 
-/// Rejects scenarios that do not fit the range before anything mutates.
+/// Rejects scenarios that do not fit the range before anything mutates:
+/// the first [`check`] finding, led by its code and `line:column`.
 fn validate(range: &CyberRange, scenario: &Scenario) -> Result<(), ExerciseError> {
-    let mut stage_ids = BTreeSet::new();
-    for stage in &scenario.stages {
-        if !stage_ids.insert(stage.id.as_str()) {
-            return Err(err(format!("duplicate stage id {:?}", stage.id)));
-        }
-    }
-    let mut objective_ids = BTreeSet::new();
-    for objective in &scenario.objectives {
-        if !objective_ids.insert(objective.id.as_str()) {
-            return Err(err(format!("duplicate objective id {:?}", objective.id)));
-        }
-    }
-
-    // Dependencies: defined, not self-referential, acyclic. Each stage has
-    // at most one parent, so cycle detection is a bounded parent walk.
-    let parent_of = |id: &str| -> Option<&str> {
-        scenario
-            .stages
-            .iter()
-            .find_map(|s| match (&s.id, &s.start) {
-                (sid, StageStart::After { stage, .. }) if sid == id => Some(stage.as_str()),
-                _ => None,
-            })
+    let Some(finding) = check(scenario, &range_targets(range), "")
+        .into_iter()
+        .next()
+    else {
+        return Ok(());
     };
-    for stage in &scenario.stages {
-        if let StageStart::After { stage: dep, .. } = &stage.start {
-            if !stage_ids.contains(dep.as_str()) {
-                return Err(err(format!(
-                    "stage {:?} depends on undefined stage {dep:?}",
-                    stage.id
-                )));
-            }
-            let mut cursor = stage.id.as_str();
-            for _ in 0..=scenario.stages.len() {
-                match parent_of(cursor) {
-                    Some(parent) if parent == stage.id => {
-                        return Err(err(format!(
-                            "stage {:?} is in a dependency cycle",
-                            stage.id
-                        )));
-                    }
-                    Some(parent) => cursor = parent,
-                    None => break,
-                }
-            }
-        }
-    }
-
-    // Attacker hosts: fresh names on existing switches.
-    let mut declared_hosts = BTreeSet::new();
-    for host in &scenario.hosts {
-        if host.ip.parse::<Ipv4Addr>().is_err() {
-            return Err(err(format!(
-                "host {:?} has unparsable ip {:?}",
-                host.name, host.ip
-            )));
-        }
-        if range.net.node_by_name(&host.switch).is_none() {
-            return Err(err(format!(
-                "host {:?} attaches to unknown switch {:?}",
-                host.name, host.switch
-            )));
-        }
-        if range.node(&host.name).is_some() || !declared_hosts.insert(host.name.as_str()) {
-            return Err(err(format!("host {:?} already exists", host.name)));
-        }
-    }
-
-    // Stages: targets must exist; one cyber stage per attacker host.
-    let mut used_hosts = BTreeSet::new();
-    for stage in &scenario.stages {
-        let id = &stage.id;
-        match &stage.action {
-            StageAction::Power(action) => {
-                use sgcr_powerflow::ScenarioAction as A;
-                let (known, target, what) = match action {
-                    A::OpenSwitch(t) | A::CloseSwitch(t) => {
-                        (range.power.switch_by_name(t).is_some(), t, "switch")
-                    }
-                    A::LineOutage(t) | A::LineRestore(t) => {
-                        (range.power.line_by_name(t).is_some(), t, "line")
-                    }
-                    A::GenLoss(t) | A::GenRestore(t) => (
-                        range.power.gen_by_name(t).is_some()
-                            || range.power.sgen_by_name(t).is_some(),
-                        t,
-                        "generator",
-                    ),
-                    A::SetLoadP(t, _) => (range.power.load_by_name(t).is_some(), t, "load"),
-                };
-                if !known {
-                    return Err(err(format!(
-                        "stage {id:?} targets unknown {what} {target:?}"
-                    )));
-                }
-            }
-            StageAction::Fci { host, victim, .. } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                if range.plan().host_ip(victim).is_none() {
-                    return Err(err(format!(
-                        "stage {id:?} targets unknown victim {victim:?}"
-                    )));
-                }
-            }
-            StageAction::Mitm {
-                host,
-                victim_a,
-                victim_b,
-                ..
-            } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                for victim in [victim_a, victim_b] {
-                    if range.plan().host_ip(victim).is_none() {
-                        return Err(err(format!(
-                            "stage {id:?} targets unknown victim {victim:?}"
-                        )));
-                    }
-                }
-            }
-            StageAction::Scan {
-                host, first, last, ..
-            } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                for addr in [first, last] {
-                    if addr.parse::<Ipv4Addr>().is_err() {
-                        return Err(err(format!("stage {id:?} has unparsable address {addr:?}")));
-                    }
-                }
-            }
-            StageAction::Link { a, b, .. } => {
-                for end in [a, b] {
-                    if range.net.node_by_name(end).is_none() {
-                        return Err(err(format!("stage {id:?} names unknown node {end:?}")));
-                    }
-                }
-            }
-            StageAction::LinkFault { a, b, fault } => {
-                for end in [a, b] {
-                    if range.net.node_by_name(end).is_none() {
-                        return Err(err(format!("stage {id:?} names unknown node {end:?}")));
-                    }
-                }
-                for (what, p) in [
-                    ("loss", fault.loss),
-                    ("corrupt", fault.corrupt),
-                    ("duplicate", fault.duplicate),
-                ] {
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(err(format!("stage {id:?} has {what}={p} outside [0, 1]")));
-                    }
-                }
-            }
-            StageAction::Crash { host, .. } => {
-                if range.node(host).is_none() && !declared_hosts.contains(host.as_str()) {
-                    return Err(err(format!("stage {id:?} crashes unknown host {host:?}")));
-                }
-            }
-            StageAction::Sensor { ied, .. } => {
-                if !range.ieds.contains_key(ied) {
-                    return Err(err(format!("stage {id:?} names unknown IED {ied:?}")));
-                }
-            }
-        }
-    }
-
-    // Objectives: targets must exist, deadlines must be meetable.
-    for objective in &scenario.objectives {
-        let id = &objective.id;
-        if let Some(dep) = &objective.after {
-            if !stage_ids.contains(dep.as_str()) {
-                return Err(err(format!(
-                    "objective {id:?} is anchored to undefined stage {dep:?}"
-                )));
-            }
-        }
-        match &objective.check {
-            Check::VoltageBand {
-                bus,
-                from_ms,
-                to_ms,
-                ..
-            } => {
-                if range.power.bus_by_name(bus).is_none() {
-                    return Err(err(format!("objective {id:?} targets unknown bus {bus:?}")));
-                }
-                if to_ms <= from_ms {
-                    return Err(err(format!("objective {id:?} has an empty window")));
-                }
-            }
-            check => {
-                if objective.within_ms <= 0 {
-                    return Err(err(format!(
-                        "objective {id:?} has non-positive withinMs {}",
-                        objective.within_ms
-                    )));
-                }
-                match check {
-                    Check::BreakerOpen { switch } | Check::BreakerClosed { switch } => {
-                        if range.switch_is_closed(switch).is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} targets unknown switch {switch:?}"
-                            )));
-                        }
-                    }
-                    Check::IedTrip { ied } => {
-                        if range.ied_trip_count(ied).is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} targets unknown IED {ied:?}"
-                            )));
-                        }
-                    }
-                    Check::ScadaAlarm { .. } | Check::TagAbove { .. } | Check::TagBelow { .. } => {
-                        if range.scada.is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} needs SCADA, but the range has none"
-                            )));
-                        }
-                    }
-                    Check::VoltageBand { .. } => {}
-                }
-            }
-        }
-    }
-    Ok(())
+    let (line, column) = finding.span.map_or((1, 1), |s| (s.line, s.column));
+    Err(err(format!(
+        "{} {line}:{column}: {} ({})",
+        finding.code, finding.message, finding.context
+    )))
 }
 
-fn check_attacker_host<'a>(
-    declared: &BTreeSet<&str>,
-    used: &mut BTreeSet<&'a str>,
-    stage_id: &str,
-    host: &'a str,
-) -> Result<(), ExerciseError> {
-    if !declared.contains(host) {
-        return Err(err(format!(
-            "stage {stage_id:?} runs on {host:?}, which is not a declared <Host>"
-        )));
+/// What a scenario may reference on this range, including attacker hosts
+/// earlier exercises added.
+fn range_targets(range: &CyberRange) -> Targets {
+    fn names<'a>(items: impl IntoIterator<Item = &'a String>) -> BTreeSet<String> {
+        items.into_iter().cloned().collect()
     }
-    if !used.insert(host) {
-        return Err(err(format!(
-            "stage {stage_id:?} reuses host {host:?} (a host runs at most one app)"
-        )));
+    let power = &range.power;
+    Targets {
+        hosts: names(range.plan().hosts.iter().map(|h| &h.name)),
+        nodes: range
+            .net
+            .node_names()
+            .into_iter()
+            .map(String::from)
+            .collect(),
+        subnetworks: names(range.plan().switches.iter().map(|s| &s.name)),
+        ieds: names(range.ieds.keys()),
+        switches: names(power.switch.iter().map(|s| &s.name)),
+        lines: names(power.line.iter().map(|l| &l.name)),
+        gens: names((power.gen.iter().map(|g| &g.name)).chain(power.sgen.iter().map(|g| &g.name))),
+        loads: names(power.load.iter().map(|l| &l.name)),
+        buses: names(power.bus.iter().map(|b| &b.name)),
+        points: names(
+            range
+                .model()
+                .scada
+                .iter()
+                .flat_map(|s| &s.config.sources)
+                .flat_map(|source| &source.points)
+                .map(|p| &p.name),
+        ),
     }
-    Ok(())
 }
 
 impl Engine {
@@ -1246,34 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_misfit_scenarios() {
-        let range =
-            CyberRange::instantiate(CompiledModel::shared(&epic_bundle()).unwrap()).unwrap();
-        let cases = [
-            // duplicate stage id
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="power" action="openSwitch" target="EPIC/CB_GEN"/><Stage id="a" kind="power" action="openSwitch" target="EPIC/CB_GEN"/></Scenario>"#,
-            // undefined dependency
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" after="ghost" kind="power" action="openSwitch" target="EPIC/CB_GEN"/></Scenario>"#,
-            // dependency cycle
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" after="b" kind="power" action="openSwitch" target="EPIC/CB_GEN"/><Stage id="b" after="a" kind="power" action="closeSwitch" target="EPIC/CB_GEN"/></Scenario>"#,
-            // unknown power target
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="power" action="openSwitch" target="EPIC/CB_GHOST"/></Scenario>"#,
-            // cyber stage on undeclared host
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="fci" host="ghost" victim="GIED1" item="x"/></Scenario>"#,
-            // unknown objective switch
-            r#"<Scenario name="t" durationMs="100"><Objective id="o" kind="breakerOpen" target="EPIC/CB_GHOST" withinMs="10"/></Scenario>"#,
-            // non-positive deadline
-            r#"<Scenario name="t" durationMs="100"><Objective id="o" kind="breakerOpen" target="EPIC/CB_GEN" withinMs="0"/></Scenario>"#,
-            // objective anchored to undefined stage
-            r#"<Scenario name="t" durationMs="100"><Objective id="o" kind="breakerOpen" target="EPIC/CB_GEN" after="ghost" withinMs="10"/></Scenario>"#,
-        ];
-        for xml in cases {
-            let s = scenario(xml);
-            assert!(validate(&range, &s).is_err(), "accepted: {xml}");
-        }
-    }
-
-    #[test]
     fn fault_stages_apply_and_stale_alarm_fires() {
         let mut range =
             CyberRange::instantiate(CompiledModel::shared(&epic_bundle()).unwrap()).unwrap();
@@ -1301,26 +1071,6 @@ mod tests {
             "stale-tag alarm never fired: {}",
             stale.detail
         );
-    }
-
-    #[test]
-    fn validation_rejects_misfit_fault_stages() {
-        let range =
-            CyberRange::instantiate(CompiledModel::shared(&epic_bundle()).unwrap()).unwrap();
-        let cases = [
-            // loss probability out of range
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="linkFault" a="SCADA" b="ControlBus" loss="1.5"/></Scenario>"#,
-            // unknown link endpoint
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="linkFault" a="SCADA" b="GhostBus" loss="0.5"/></Scenario>"#,
-            // crash of an unknown host
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="crash" host="GhostIED"/></Scenario>"#,
-            // sensor fault on an unknown IED
-            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="sensor" ied="GhostIED" key="k" mode="stuck"/></Scenario>"#,
-        ];
-        for xml in cases {
-            let s = scenario(xml);
-            assert!(validate(&range, &s).is_err(), "accepted: {xml}");
-        }
     }
 
     #[test]

@@ -41,10 +41,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod check;
 pub mod engine;
 pub mod report;
 pub mod spec;
 
+pub use check::{check, Targets};
 pub use engine::{run_exercise, ExerciseError};
 pub use report::{ExerciseReport, ObjectiveOutcome, Score, StageOutcome};
 pub use sgcr_powerflow::ScenarioAction;

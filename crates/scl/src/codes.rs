@@ -140,13 +140,14 @@ codes! {
     /// A scenario stage or objective targets a host/IED/switch/line/point
     /// that the bundle does not define.
     SCENARIO_UNKNOWN_TARGET = ("SG5001", "scenario references a target the bundle does not define");
-    /// A `after=` dependency names a stage id the scenario never defines
-    /// (or the stage depends on itself).
-    SCENARIO_UNDEFINED_STAGE = ("SG5002", "scenario dependency references an undefined stage id");
+    /// A `after=` dependency names a stage id the scenario never defines,
+    /// or the stage depends on itself or sits in a dependency cycle.
+    SCENARIO_UNDEFINED_STAGE = ("SG5002", "scenario dependency is undefined, self-referential or cyclic");
     /// An objective deadline or window can never be met (zero/negative).
     SCENARIO_BAD_DEADLINE = ("SG5003", "scenario objective has a zero or negative deadline");
-    /// Two stages or objectives share one id.
-    SCENARIO_DUPLICATE_ID = ("SG5004", "two scenario stages or objectives share one id");
+    /// Two stages or objectives share one id, or an attacker host is
+    /// declared twice or named like an existing network node.
+    SCENARIO_DUPLICATE_ID = ("SG5004", "two scenario stages, objectives or hosts share one name");
     /// A fault stage (`linkFault`, `crash`) names a host or link endpoint
     /// the bundle does not define.
     SCENARIO_UNKNOWN_FAULT_TARGET =
@@ -156,6 +157,11 @@ codes! {
     /// A `linkFault` probability (loss/corrupt/duplicate) is outside [0, 1].
     SCENARIO_BAD_FAULT_PROBABILITY =
         ("SG5007", "link fault probability is outside the [0, 1] range");
+    /// An attacker host has an unparsable `ip`, a `scan` stage an unparsable
+    /// `first`/`last`, or one host carries a second cyber stage (a host
+    /// runs at most one app).
+    SCENARIO_BAD_ATTACKER_HOST =
+        ("SG5008", "attacker host cannot be set up as declared");
 
     // --- SG6xxx: ST control-logic semantics --------------------------------
     /// The PLC's Structured Text (or PLCopen XML) body does not parse.

@@ -67,6 +67,17 @@ fn resume_then_step_is_byte_identical_to_never_pausing() {
     let decoded = Checkpoint::from_json(&encoded).expect("checkpoint JSON decodes");
     assert_eq!(decoded.to_json(), encoded, "round-trip must be lossless");
 
+    // Older checkpoints also carry the since-fixed retention bounds; they
+    // are ignored, so even a bound of 0 decodes to the same checkpoint.
+    let legacy = encoded.replacen(
+        "\"settings\":{",
+        "\"settings\":{\"step_stats_capacity\":0,\"solve_errors_capacity\":0,",
+        1,
+    );
+    assert_ne!(legacy, encoded, "the settings object must be found");
+    let legacy = Checkpoint::from_json(&legacy).expect("legacy checkpoint JSON decodes");
+    assert_eq!(legacy.to_json(), encoded);
+
     let resumed_telemetry = Telemetry::new();
     let mut resumed = decoded
         .resume(model.clone(), resumed_telemetry.clone())
