@@ -53,21 +53,17 @@
 mod checkpoint;
 mod files;
 mod fingerprint;
-mod keymap;
 mod model;
 mod range;
 mod state;
 
 pub mod compile;
+pub mod keymap;
 pub mod sgml;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use files::BundleIoError;
 pub use fingerprint::{fnv1a_64, Fingerprint};
-pub use keymap::{
-    branch_i_key, branch_loading_key, branch_p_key, branch_q_key, breaker_cmd_key,
-    breaker_state_key, bus_va_key, bus_vm_key, load_p_key, source_p_key, split_scoped,
-};
 pub use model::{CompiledModel, CompiledPlc, CompiledScada};
 pub use range::{CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats};
 pub use sgml::ied_config::{IedConfig, IedConfigError};

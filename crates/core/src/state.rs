@@ -23,7 +23,7 @@ use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Tel
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
 use sgcr_powerflow::{PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSchedule};
 use sgcr_scada::{ScadaApp, ScadaHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Bound on retained per-step statistics — large enough for any of the
 /// paper's experiments, small enough to cap a long-running range.
@@ -96,12 +96,41 @@ pub struct RangeState {
     /// Per-plane wall-time attribution histograms (`step.plane.*`); all
     /// detached no-ops when telemetry is off.
     plane_hists: PlaneHists,
+    /// Every command key the power plane obeys, resolved to its element.
+    commands: Vec<(String, CommandTarget)>,
+    /// Store version up to which commands have been applied.
     cmd_cursor: u64,
-    node_by_name: HashMap<String, NodeId>,
     /// Simulation time of the next due power-flow step.
     next_step_at: SimTime,
     /// Simulation time of the previous power-flow step (profile window start).
     last_step_ms: u64,
+}
+
+/// The power element a `cmd/` key sets (an index into its element list).
+#[derive(Debug, Clone, Copy)]
+enum CommandTarget {
+    Switch(usize),
+    Load(usize),
+    Gen(usize),
+    Sgen(usize),
+}
+
+/// Resolves every command key of `power` to its element, once per tenant:
+/// the first element of a name wins, and a `gen` key addresses a generator
+/// before a static generator of the same name.
+fn command_table(power: &PowerNetwork) -> Vec<(String, CommandTarget)> {
+    let switches = power.switch.iter().enumerate();
+    let loads = power.load.iter().enumerate();
+    let gens = power.gen.iter().enumerate();
+    let sgens = power.sgen.iter().enumerate();
+    let mut seen = HashSet::new();
+    switches
+        .map(|(i, s)| (keymap::breaker_cmd_key(&s.name), CommandTarget::Switch(i)))
+        .chain(loads.map(|(i, l)| (keymap::load_cmd_key(&l.name), CommandTarget::Load(i))))
+        .chain(gens.map(|(i, g)| (keymap::gen_cmd_key(&g.name), CommandTarget::Gen(i))))
+        .chain(sgens.map(|(i, g)| (keymap::gen_cmd_key(&g.name), CommandTarget::Sgen(i))))
+        .filter(|(key, _)| seen.insert(key.clone()))
+        .collect()
 }
 
 /// Resolved `step.plane.*` histograms: where one co-simulation step's wall
@@ -210,7 +239,6 @@ impl RangeState {
         if let Some(seed) = settings.fault_seed {
             net.set_fault_seed(seed);
         }
-        let mut node_by_name: HashMap<String, NodeId> = HashMap::new();
         let mut switch_by_name: HashMap<String, NodeId> = HashMap::new();
         let mut wan: Option<NodeId> = None;
         for sw in &model.plan.switches {
@@ -233,7 +261,6 @@ impl RangeState {
                 None => net.add_host(&host.name, host.ip),
             };
             net.connect(id, switch_by_name[&host.switch], LinkSpec::default());
-            node_by_name.insert(host.name.clone(), id);
         }
 
         let store = ProcessStore::new();
@@ -242,7 +269,7 @@ impl RangeState {
         // --- Virtual IEDs from compiled specs ------------------------------
         let mut ieds = HashMap::new();
         for spec in &model.ieds {
-            let Some(&node) = node_by_name.get(&spec.name) else {
+            let Some(node) = net.node_by_name(&spec.name) else {
                 return Err(RangeError::UnknownHost {
                     host: spec.name.clone(),
                     referenced_by: "IED Config XML",
@@ -257,7 +284,7 @@ impl RangeState {
         // --- Virtual PLCs from compiled programs ---------------------------
         let mut plcs = HashMap::new();
         for def in &model.plcs {
-            let Some(&node) = node_by_name.get(&def.name) else {
+            let Some(node) = net.node_by_name(&def.name) else {
                 return Err(RangeError::UnknownHost {
                     host: def.name.clone(),
                     referenced_by: "PLC Config XML",
@@ -288,7 +315,7 @@ impl RangeState {
         // --- SCADA HMI ------------------------------------------------------
         let mut scada = None;
         if let Some(blueprint) = &model.scada {
-            let Some(&node) = node_by_name.get(&blueprint.host) else {
+            let Some(node) = net.node_by_name(&blueprint.host) else {
                 return Err(RangeError::UnknownHost {
                     host: blueprint.host.clone(),
                     referenced_by: "SCADA Config XML",
@@ -332,8 +359,8 @@ impl RangeState {
             overrun_counter: telemetry.counter("range.step_overruns"),
             plane_hists: PlaneHists::resolve(&telemetry),
             telemetry,
+            commands: command_table(&model.power),
             cmd_cursor: 0,
-            node_by_name,
             next_step_at: SimTime::ZERO + interval,
             last_step_ms: 0,
         };
@@ -357,7 +384,9 @@ impl RangeState {
 
     /// The node id of a generated host (for captures, link failures, …).
     pub fn node(&self, name: &str) -> Option<NodeId> {
-        self.node_by_name.get(name).copied()
+        self.net
+            .node_by_name(name)
+            .filter(|&node| self.net.is_host(node))
     }
 
     /// Adds an extra host (e.g. an attacker machine) to a named switch.
@@ -372,7 +401,6 @@ impl RangeState {
             .unwrap_or_else(|| panic!("no such switch {switch:?}"));
         let id = self.net.add_host(name, ip);
         self.net.connect(id, switch_id, LinkSpec::default());
-        self.node_by_name.insert(name.to_string(), id);
         id
     }
 
@@ -453,41 +481,35 @@ impl RangeState {
         self.schedule.apply(&mut self.power, t0_ms, t1.as_millis());
 
         // Commands written by the cyber side since the last step.
-        let changes = self.store.changes_since(self.cmd_cursor);
-        self.cmd_cursor = self.store.version();
-        for change in changes {
-            if !change.key.starts_with("cmd/") {
+        let cursor = std::mem::replace(&mut self.cmd_cursor, self.store.version());
+        for (key, target) in &self.commands {
+            let Some(entry) = self.store.entry(key) else {
+                continue;
+            };
+            if entry.version <= cursor {
                 continue;
             }
-            let segments: Vec<&str> = change.key.split('/').collect();
-            // cmd/<sub>/<class>/<name>/<field>
-            if segments.len() != 5 {
-                continue;
-            }
-            let scoped = format!("{}/{}", segments[1], segments[2 + 1]);
-            match (segments[2], segments[4]) {
-                ("cb", "close") => {
-                    if let Some(closed) = change.value.as_bool() {
-                        self.power.set_switch(&scoped, closed);
+            match *target {
+                CommandTarget::Switch(i) => {
+                    if let Some(closed) = entry.value.as_bool() {
+                        self.power.switch[i].closed = closed;
                     }
                 }
-                ("load", "p_mw") => {
-                    if let (Some(p), Some(id)) =
-                        (change.value.as_float(), self.power.load_by_name(&scoped))
-                    {
-                        self.power.load[id.index()].p_mw = p;
+                CommandTarget::Load(i) => {
+                    if let Some(p) = entry.value.as_float() {
+                        self.power.load[i].p_mw = p;
                     }
                 }
-                ("gen", "p_mw") => {
-                    if let Some(p) = change.value.as_float() {
-                        if let Some(id) = self.power.gen_by_name(&scoped) {
-                            self.power.gen[id.index()].p_mw = p;
-                        } else if let Some(id) = self.power.sgen_by_name(&scoped) {
-                            self.power.sgen[id.index()].p_mw = p;
-                        }
+                CommandTarget::Gen(i) => {
+                    if let Some(p) = entry.value.as_float() {
+                        self.power.gen[i].p_mw = p;
                     }
                 }
-                _ => {}
+                CommandTarget::Sgen(i) => {
+                    if let Some(p) = entry.value.as_float() {
+                        self.power.sgen[i].p_mw = p;
+                    }
+                }
             }
         }
 
@@ -681,7 +703,7 @@ impl RangeState {
                 .set(&keymap::load_p_key(&load.name), Value::Float(p));
         }
         self.store
-            .set("sim/step", Value::Int(self.steps_total as i64));
+            .set(keymap::SIM_STEP, Value::Int(self.steps_total as i64));
     }
 
     /// Retained per-step wall-clock statistics, oldest first. Retention is

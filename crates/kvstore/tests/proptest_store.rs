@@ -1,71 +1,51 @@
-//! Property tests on the process store: version monotonicity and
-//! change-feed completeness under arbitrary operation sequences.
+//! Property tests on the process store: under arbitrary write sequences,
+//! reads return the last write, versions grow by one per write, and the
+//! sorted dump agrees with point reads.
 
 use proptest::prelude::*;
 use sgcr_kvstore::{ProcessStore, Value};
+use std::collections::BTreeMap;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Set(u8, i64),
-    Remove(u8),
-    Mark,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Op::Set(k % 16, v)),
-        any::<u8>().prop_map(|k| Op::Remove(k % 16)),
-        Just(Op::Mark),
-    ]
+fn writes() -> impl Strategy<Value = Vec<(u8, i64)>> {
+    proptest::collection::vec((0u8..16, any::<i64>()), 0..100)
 }
 
 proptest! {
     #[test]
-    fn change_feed_is_complete_and_ordered(ops in proptest::collection::vec(op_strategy(), 0..100)) {
+    fn reads_return_the_last_write_and_versions_grow(writes in writes()) {
         let store = ProcessStore::new();
-        let mut marks: Vec<u64> = vec![0];
-        for op in &ops {
-            match op {
-                Op::Set(k, v) => {
-                    let version = store.set(&format!("k{k}"), Value::Int(*v));
-                    prop_assert_eq!(version, store.version());
-                }
-                Op::Remove(k) => {
-                    store.remove(&format!("k{k}"));
-                }
-                Op::Mark => {
-                    marks.push(store.version());
-                }
-            }
+        let mut model: BTreeMap<String, (i64, u64)> = BTreeMap::new();
+        for (i, &(k, v)) in writes.iter().enumerate() {
+            let key = format!("k{k:02}");
+            let version = store.set(&key, Value::Int(v));
+            prop_assert_eq!(version, i as u64 + 1);
+            prop_assert_eq!(store.version(), version);
+            model.insert(key, (v, version));
         }
-        // Versions in the change feed are strictly increasing and all
-        // greater than the cursor.
-        for &mark in &marks {
-            let changes = store.changes_since(mark);
-            let mut last = mark;
-            for change in &changes {
-                prop_assert!(change.version > last);
-                last = change.version;
-                // The reported value matches the live value (unless since
-                // removed).
-                if let Some(live) = store.get(&change.key) {
-                    prop_assert_eq!(&live, &change.value);
-                }
-            }
+        for (key, &(value, version)) in &model {
+            prop_assert_eq!(store.get(key), Some(Value::Int(value)));
+            let entry = store.entry(key).expect("written key is present");
+            prop_assert_eq!(entry.value, Value::Int(value));
+            prop_assert_eq!(entry.version, version);
         }
-        // A cursor at the current version sees nothing.
-        prop_assert!(store.changes_since(store.version()).is_empty());
+        prop_assert_eq!(store.get("absent"), None);
     }
 
     #[test]
-    fn snapshot_matches_gets(keys in proptest::collection::vec((any::<u8>(), any::<i64>()), 0..40)) {
+    fn dump_is_sorted_and_agrees_with_get(writes in writes()) {
         let store = ProcessStore::new();
-        for (k, v) in &keys {
-            store.set(&format!("k{}", k % 8), Value::Int(*v));
+        let mut keys = std::collections::BTreeSet::new();
+        for &(k, v) in &writes {
+            let key = format!("k{}", k % 8);
+            store.set(&key, Value::Int(v));
+            keys.insert(key);
         }
-        for (key, value) in store.snapshot() {
-            prop_assert_eq!(store.get(&key), Some(value));
+        let dump = store.dump();
+        let dumped: Vec<&String> = dump.iter().map(|(key, _)| key).collect();
+        prop_assert_eq!(dumped, keys.iter().collect::<Vec<_>>());
+        for (key, entry) in &dump {
+            prop_assert_eq!(store.entry(key), Some(entry.clone()));
+            prop_assert!(entry.version >= 1 && entry.version <= store.version());
         }
-        prop_assert_eq!(store.snapshot().len(), store.len());
     }
 }

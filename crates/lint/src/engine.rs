@@ -22,8 +22,7 @@
 //! name, file bytes)`, so `touch` changes nothing and a revert restores the
 //! cached result.
 
-use crate::pass::LintPass;
-use crate::passes;
+use crate::pass::{Scope, ROSTER};
 use crate::source::{role_of, FileRole, LoadError, LoadedBundle, SourceFile};
 use crate::{json, LintReport};
 use sgcr_core::Fingerprint;
@@ -62,7 +61,7 @@ pub struct IncrementalOutcome {
 
 /// Salt mixed into every query key so a new engine (new passes, changed
 /// semantics) never reads results written by an old one.
-const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v1/", env!("CARGO_PKG_VERSION"));
+const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v2/", env!("CARGO_PKG_VERSION"));
 
 /// Lints a bundle directory through the query cache at `cache_dir`
 /// (created on demand).
@@ -161,7 +160,7 @@ pub fn lint_dir_incremental(
         None => {
             let full = build_bundle(&sources);
             let mut diags = Vec::new();
-            for pass in cross_passes() {
+            for (_, pass) in ROSTER.iter().filter(|(scope, _)| *scope == Scope::Bundle) {
                 pass.run(&full, &mut diags);
             }
             stats.recomputed += 1;
@@ -186,38 +185,19 @@ pub fn lint_dir_incremental(
     })
 }
 
-/// The passes that read a single file's parse; everything else is cross.
-fn is_per_file_pass_role(role: FileRole) -> bool {
-    matches!(role, FileRole::PlcConfig)
-}
-
 /// Runs the per-file portion of the roster for one file: the loader's
-/// parse/structure diagnostics plus any pass whose inputs are that file
-/// alone.
+/// parse/structure diagnostics plus every pass scoped to that file's role.
 fn run_file_query(file: &SourceFile) -> Vec<Diagnostic> {
     let mut mini = LoadedBundle::default();
     mini.add_file(file.name.clone(), file.role, file.text.clone());
     let mut diags = std::mem::take(&mut mini.diagnostics);
-    if is_per_file_pass_role(file.role) {
-        passes::st_logic::StLogicPass.run(&mini, &mut diags);
+    for (_, pass) in ROSTER
+        .iter()
+        .filter(|(scope, _)| *scope == Scope::File(file.role))
+    {
+        pass.run(&mini, &mut diags);
     }
     diags
-}
-
-/// The roster complement of [`run_file_query`]: passes needing the whole
-/// bundle. Together they must equal [`crate::default_passes`] — the roster
-/// test below keeps the two in sync.
-fn cross_passes() -> Vec<Box<dyn LintPass>> {
-    vec![
-        Box::new(passes::xref::XrefPass),
-        Box::new(passes::addr::AddrPass),
-        Box::new(passes::topology::TopologyPass),
-        Box::new(passes::protection::ProtectionPass),
-        Box::new(passes::orphan::OrphanPass),
-        Box::new(passes::scenario::ScenarioPass),
-        Box::new(passes::adversary::AdversaryPass),
-        Box::new(passes::st_logic::ScadaBindingPass),
-    ]
 }
 
 fn build_bundle(sources: &[SourceFile]) -> LoadedBundle {
@@ -263,8 +243,7 @@ fn write_cached(cache_dir: &Path, key: u64, diags: &[Diagnostic]) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::{default_passes, lint_bundle};
-    use std::collections::BTreeSet;
+    use crate::lint_bundle;
 
     const SSD: &str = r#"<SCL xmlns="http://www.iec.ch/61850/2003/SCL">
   <Header id="demo"/>
@@ -307,15 +286,6 @@ END_PROGRAM
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// The per-file/cross split must cover exactly the default roster.
-    #[test]
-    fn query_split_covers_default_roster() {
-        let mut split: BTreeSet<&str> = cross_passes().iter().map(|p| p.name()).collect();
-        split.insert(passes::st_logic::StLogicPass.name());
-        let roster: BTreeSet<&str> = default_passes().iter().map(|p| p.name()).collect();
-        assert_eq!(split, roster);
     }
 
     #[test]

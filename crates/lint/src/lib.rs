@@ -32,7 +32,7 @@ pub mod report;
 pub mod sarif;
 pub mod source;
 
-pub use pass::{default_passes, LintPass};
+pub use pass::LintPass;
 
 use sgcr_scl::{Diagnostic, Severity};
 use source::LoadedBundle;
@@ -87,14 +87,8 @@ impl LintReport {
 /// findings, and finally orders everything by file, line, and code so output
 /// is stable across pass-roster changes.
 pub fn lint_bundle(bundle: &LoadedBundle) -> LintReport {
-    lint_bundle_with(bundle, &default_passes())
-}
-
-/// Runs a caller-chosen pass roster (the loader's diagnostics are always
-/// included).
-pub fn lint_bundle_with(bundle: &LoadedBundle, passes: &[Box<dyn LintPass>]) -> LintReport {
     let mut diagnostics = bundle.diagnostics.clone();
-    for pass in passes {
+    for (_, pass) in pass::ROSTER {
         pass.run(bundle, &mut diagnostics);
     }
     sorted_report(diagnostics)

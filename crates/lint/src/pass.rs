@@ -1,7 +1,7 @@
-//! The lint-pass abstraction and the default pass roster.
+//! The lint-pass abstraction and the pass roster.
 
 use crate::passes;
-use crate::source::LoadedBundle;
+use crate::source::{FileRole, LoadedBundle};
 use sgcr_scl::Diagnostic;
 
 /// One analysis over a loaded bundle.
@@ -11,39 +11,33 @@ use sgcr_scl::Diagnostic;
 /// position comes from the model's `pos` metadata, so passes stay pure
 /// cross-file logic with no XML in sight.
 pub trait LintPass {
-    /// Stable pass name (used in `--format json` and for filtering).
-    fn name(&self) -> &'static str;
-
     /// Runs the pass, appending findings to `out`.
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>);
 }
 
-/// The default pass roster, in execution order.
-pub fn default_passes() -> Vec<Box<dyn LintPass>> {
-    vec![
-        Box::new(passes::xref::XrefPass),
-        Box::new(passes::addr::AddrPass),
-        Box::new(passes::topology::TopologyPass),
-        Box::new(passes::protection::ProtectionPass),
-        Box::new(passes::orphan::OrphanPass),
-        Box::new(passes::scenario::ScenarioPass),
-        Box::new(passes::adversary::AdversaryPass),
-        Box::new(passes::st_logic::StLogicPass),
-        Box::new(passes::st_logic::ScadaBindingPass),
-    ]
+/// What a pass reads, which decides how the incremental engine memoizes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// One file of this role at a time: part of that file's query.
+    File(FileRole),
+    /// The whole bundle: part of the cross-file query.
+    Bundle,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roster_names_are_unique() {
-        let passes = default_passes();
-        let mut names: Vec<_> = passes.iter().map(|p| p.name()).collect();
-        names.sort_unstable();
-        let before = names.len();
-        names.dedup();
-        assert_eq!(before, names.len());
-    }
-}
+/// Every pass, in execution order, with what it reads. [`crate::lint_bundle`]
+/// runs them all over the whole bundle; the incremental engine splits them
+/// by scope.
+pub(crate) const ROSTER: &[(Scope, &dyn LintPass)] = &[
+    (Scope::Bundle, &passes::xref::XrefPass),
+    (Scope::Bundle, &passes::addr::AddrPass),
+    (Scope::Bundle, &passes::topology::TopologyPass),
+    (Scope::Bundle, &passes::protection::ProtectionPass),
+    (Scope::Bundle, &passes::orphan::OrphanPass),
+    (Scope::Bundle, &passes::scenario::ScenarioPass),
+    (Scope::Bundle, &passes::adversary::AdversaryPass),
+    (
+        Scope::File(FileRole::PlcConfig),
+        &passes::st_logic::StLogicPass,
+    ),
+    (Scope::Bundle, &passes::st_logic::ScadaBindingPass),
+];

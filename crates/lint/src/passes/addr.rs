@@ -10,10 +10,6 @@ use std::collections::BTreeMap;
 pub struct AddrPass;
 
 impl LintPass for AddrPass {
-    fn name(&self) -> &'static str {
-        "addr"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         // (file, subnetwork name, ap)
         let mut aps: Vec<(&str, &str, &ConnectedAp)> = Vec::new();

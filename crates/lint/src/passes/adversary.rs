@@ -21,10 +21,6 @@ use std::collections::BTreeSet;
 pub struct AdversaryPass;
 
 impl LintPass for AdversaryPass {
-    fn name(&self) -> &'static str {
-        "adversary"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         if bundle
             .scenarios

@@ -11,10 +11,6 @@ use std::collections::BTreeSet;
 pub struct OrphanPass;
 
 impl LintPass for OrphanPass {
-    fn name(&self) -> &'static str {
-        "orphan"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         check_orphan_icds(bundle, out);
         check_dead_files(bundle, out);

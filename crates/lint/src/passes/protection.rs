@@ -11,10 +11,6 @@ use sgcr_scl::{codes, Diagnostic};
 pub struct ProtectionPass;
 
 impl LintPass for ProtectionPass {
-    fn name(&self) -> &'static str {
-        "protection"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         check_config(bundle, out);
         check_bays(bundle, out);

@@ -18,10 +18,6 @@ use sgcr_scl::{Diagnostic, EquipmentType};
 pub struct ScenarioPass;
 
 impl LintPass for ScenarioPass {
-    fn name(&self) -> &'static str {
-        "scenario"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         let targets = harvest(bundle);
         for (file, scenario) in &bundle.scenarios {
@@ -42,6 +38,11 @@ fn harvest(bundle: &LoadedBundle) -> Targets {
         if let Some(comm) = &file.doc.communication {
             for subnet in &comm.subnetworks {
                 targets.subnetworks.insert(subnet.name.clone());
+                for ap in &subnet.connected_aps {
+                    if let Ok(ip) = ap.ip.parse() {
+                        targets.ips.insert(ip, ap.ied_name.clone());
+                    }
+                }
             }
         }
     }

@@ -29,10 +29,6 @@ use std::collections::BTreeSet;
 pub struct StLogicPass;
 
 impl LintPass for StLogicPass {
-    fn name(&self) -> &'static str {
-        "st-logic"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         let Some((file, config)) = &bundle.plc_config else {
             return;
@@ -185,10 +181,6 @@ fn check_bindings(
 pub struct ScadaBindingPass;
 
 impl LintPass for ScadaBindingPass {
-    fn name(&self) -> &'static str {
-        "scada-binding"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         let Some((sfile, scada)) = &bundle.scada_config else {
             return;

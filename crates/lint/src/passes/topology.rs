@@ -21,10 +21,6 @@ use std::collections::BTreeMap;
 pub struct TopologyPass;
 
 impl LintPass for TopologyPass {
-    fn name(&self) -> &'static str {
-        "topology"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         let mut graph = Graph::default();
         collect_nodes(bundle, &mut graph, out);

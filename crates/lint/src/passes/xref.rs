@@ -11,10 +11,6 @@ use std::collections::BTreeSet;
 pub struct XrefPass;
 
 impl LintPass for XrefPass {
-    fn name(&self) -> &'static str {
-        "xref"
-    }
-
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
         let ieds = known_ied_names(bundle);
         let hosts = known_host_names(bundle);

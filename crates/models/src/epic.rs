@@ -14,7 +14,7 @@
 //! public descriptions, per the paper.
 
 use crate::assets;
-use sgcr_core::{branch_i_key, branch_p_key, bus_vm_key};
+use sgcr_core::keymap::{self, branch_i_key, branch_p_key, bus_vm_key};
 use sgcr_core::{
     IedConfig, PlcConfig, PlcDef, PlcGooseRule, PlcLogic, PlcReadRule, PlcWriteRule,
     PowerExtraConfig, SgmlBundle,
@@ -22,7 +22,6 @@ use sgcr_core::{
 use sgcr_ied::{
     BreakerMap, GooseEntry, GooseSpec, IedSpec, MeasurementMap, MonitoredBreaker, ProtectionSpec,
 };
-use sgcr_kvstore::Keys;
 use sgcr_powerflow::{Profile, ProfileTarget};
 use sgcr_scl::write_scl;
 
@@ -171,19 +170,19 @@ pub fn epic_icds() -> Vec<String> {
 /// The supplementary IED Config XML: thresholds + cyber↔physical mapping.
 pub fn epic_ied_config() -> IedConfig {
     let sub = SUBSTATION;
+    let scoped = |name: &str| format!("{sub}/{name}");
     let b = |name: &str, interlocked: bool| BreakerMap {
         name: name.to_string(),
         xcbr: "XCBR1".into(),
         cswi: "CSWI1".into(),
-        state_key: Keys::breaker_state(sub, name),
-        cmd_key: Keys::breaker_cmd(sub, name),
+        state_key: keymap::breaker_state_key(&scoped(name)),
+        cmd_key: keymap::breaker_cmd_key(&scoped(name)),
         interlocked,
     };
     let meas = |item: &str, key: String| MeasurementMap {
         item: item.to_string(),
         kv_key: key,
     };
-    let scoped = |name: &str| format!("{sub}/{name}");
     let bus_path = |cn: &str, bay: &str| format!("{sub}/LV/{bay}/{cn}");
 
     let mut ieds = Vec::new();
@@ -299,7 +298,7 @@ pub fn epic_ied_config() -> IedConfig {
     let mut mied2 = IedSpec::new("MIED2", sub);
     mied2.measurements.push(meas(
         "MMXU1$MX$TotW$mag$f",
-        format!("meas/{sub}/src/PV1/p_mw"),
+        keymap::source_p_key(&scoped("PV1")),
     ));
     ieds.push(mied2);
 
@@ -308,7 +307,7 @@ pub fn epic_ied_config() -> IedConfig {
     let mut sied1 = IedSpec::new("SIED1", sub);
     sied1.measurements.push(meas(
         "MMXU1$MX$TotW$mag$f",
-        format!("meas/{sub}/load/Load1/p_mw"),
+        keymap::load_p_key(&scoped("Load1")),
     ));
     sied1.breakers.push(b("CB_HOME", true));
     sied1.protections.push(ProtectionSpec::Cilo {

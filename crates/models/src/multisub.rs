@@ -9,9 +9,9 @@
 //! both the cyber and the physical model together.
 
 use crate::assets;
-use sgcr_core::{branch_i_key, branch_p_key, IedConfig, PowerExtraConfig, SgmlBundle};
+use sgcr_core::keymap::{self, branch_i_key, branch_p_key};
+use sgcr_core::{IedConfig, PowerExtraConfig, SgmlBundle};
 use sgcr_ied::{BreakerMap, IedSpec, MeasurementMap, ProtectionSpec};
-use sgcr_kvstore::Keys;
 use sgcr_scl::{write_scl, ElectricalParams, Header, InterSubstationLine, SclDocument, SourcePos};
 
 /// Parameters of a synthetic multi-substation model.
@@ -133,6 +133,7 @@ pub fn multisub_bundle(params: &MultiSubParams) -> SgmlBundle {
             let mut spec = IedSpec::new(&name, &sub);
             let breaker = format!("CB{}", f + 1);
             let line = format!("{sub}/LF{}", f + 1);
+            let breaker_path = format!("{sub}/{breaker}");
             spec.measurements.push(MeasurementMap {
                 item: "MMXU1$MX$TotW$mag$f".into(),
                 kv_key: branch_p_key(&line),
@@ -145,8 +146,8 @@ pub fn multisub_bundle(params: &MultiSubParams) -> SgmlBundle {
                 name: breaker.clone(),
                 xcbr: "XCBR1".into(),
                 cswi: "CSWI1".into(),
-                state_key: Keys::breaker_state(&sub, &breaker),
-                cmd_key: Keys::breaker_cmd(&sub, &breaker),
+                state_key: keymap::breaker_state_key(&breaker_path),
+                cmd_key: keymap::breaker_cmd_key(&breaker_path),
                 interlocked: false,
             });
             spec.protections.push(ProtectionSpec::Ptoc {

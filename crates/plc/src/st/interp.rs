@@ -433,8 +433,14 @@ impl Interpreter {
     }
 
     /// Writes a variable (creating it if needed — used by the I/O binding).
+    /// An existing variable is overwritten in place, without allocating.
     pub fn set(&mut self, name: &str, value: StValue) {
-        self.vars.insert(name.to_string(), value);
+        match self.vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.vars.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Executes one scan of the program body at simulation time `now_ns`.
@@ -444,10 +450,13 @@ impl Interpreter {
     /// Returns [`RuntimeError`] on type errors, unknown identifiers,
     /// division by zero, or a runaway loop.
     pub fn scan(&mut self, now_ns: u64) -> Result<(), RuntimeError> {
-        let body = self.program.body.clone();
+        // The body is moved out for the scan (execution needs `&mut self`)
+        // and put back afterwards, so a scan never copies the program.
+        let body = std::mem::take(&mut self.program.body);
         let mut budget = self.loop_budget;
-        self.exec_block(&body, now_ns, &mut budget)?;
-        Ok(())
+        let result = self.exec_block(&body, now_ns, &mut budget);
+        self.program.body = body;
+        result.map(|_| ())
     }
 
     fn exec_block(
@@ -479,9 +488,7 @@ impl Interpreter {
             Stmt::Assign { target, value, .. } => {
                 let v = self.eval(value, now_ns)?;
                 match target {
-                    LValue::Var(name) => {
-                        self.vars.insert(name.clone(), v);
-                    }
+                    LValue::Var(name) => self.set(name, v),
                     LValue::Member(instance, _member) => {
                         // Assigning FB inputs outside a call has no effect in
                         // this implementation; flag it instead of silently
@@ -561,7 +568,7 @@ impl Interpreter {
                     if (step > 0 && i > end) || (step < 0 && i < end) {
                         break;
                     }
-                    self.vars.insert(var.clone(), StValue::Int(i));
+                    self.set(var, StValue::Int(i));
                     match self.exec_block(body, now_ns, budget)? {
                         Flow::Exit => break,
                         Flow::Return => return Ok(Flow::Return),
@@ -638,7 +645,7 @@ impl Interpreter {
                                 "function block {instance:?} has no output {member:?}"
                             ))
                         })?;
-                    self.vars.insert(target.clone(), value);
+                    self.set(target, value);
                 }
                 Ok(Flow::Normal)
             }

@@ -10,7 +10,7 @@ use crate::spec::{Check, Pos, Scenario, StageAction, StageStart};
 use sgcr_net::Ipv4Addr;
 use sgcr_powerflow::ScenarioAction;
 use sgcr_scl::{codes, Diagnostic, Span};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
 
 /// Everything a scenario can legally reference, as plain name sets.
 #[derive(Debug, Clone, Default)]
@@ -20,6 +20,10 @@ pub struct Targets {
     /// Every named network node: generated hosts, switches and, on a live
     /// range, attacker hosts added by earlier exercises.
     pub nodes: BTreeSet<String>,
+    /// The IPv4 address of every host on the network, with the host's name:
+    /// generated hosts and, on a live range, attacker hosts added by
+    /// earlier exercises.
+    pub ips: BTreeMap<Ipv4Addr, String>,
     /// Subnetwork switches an attacker host can attach to.
     pub subnetworks: BTreeSet<String>,
     /// IED names.
@@ -197,10 +201,16 @@ fn check_dependencies(scenario: &Scenario, findings: &mut Findings<'_>) {
     }
 }
 
-/// Attacker hosts: fresh names (SG5004) with a parsable address (SG5008)
-/// on a known subnetwork (SG5001).
+/// Attacker hosts: fresh names (SG5004) with a parsable, fresh address
+/// (SG5008) on a known subnetwork (SG5001).
 fn check_hosts(scenario: &Scenario, targets: &Targets, findings: &mut Findings<'_>) {
     let mut declared = BTreeSet::new();
+    // Who holds each address so far: range hosts, then declared attackers.
+    let mut owners: BTreeMap<Ipv4Addr, &str> = targets
+        .ips
+        .iter()
+        .map(|(ip, host)| (*ip, host.as_str()))
+        .collect();
     for host in &scenario.hosts {
         let context = format!("Host {}", host.name);
         if !declared.insert(host.name.as_str()) {
@@ -218,13 +228,28 @@ fn check_hosts(scenario: &Scenario, targets: &Targets, findings: &mut Findings<'
                 format!("host {:?} clashes with an existing network node", host.name),
             );
         }
-        if host.ip.parse::<Ipv4Addr>().is_err() {
-            findings.push(
+        match host.ip.parse::<Ipv4Addr>() {
+            Err(_) => findings.push(
                 codes::SCENARIO_BAD_ATTACKER_HOST,
                 host.pos,
                 context.clone(),
                 format!("host {:?} has unparsable ip {:?}", host.name, host.ip),
-            );
+            ),
+            Ok(ip) => match owners.entry(ip) {
+                btree_map::Entry::Occupied(owner) => findings.push(
+                    codes::SCENARIO_BAD_ATTACKER_HOST,
+                    host.pos,
+                    context.clone(),
+                    format!(
+                        "host {:?} reuses ip {ip} of host {:?}; an attacker ip must be fresh",
+                        host.name,
+                        owner.get()
+                    ),
+                ),
+                btree_map::Entry::Vacant(slot) => {
+                    slot.insert(&host.name);
+                }
+            },
         }
         if !targets.subnetworks.contains(&host.switch) {
             findings.push(

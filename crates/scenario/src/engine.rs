@@ -29,7 +29,7 @@ use sgcr_attack::{
     ScannerApp, Transform,
 };
 use sgcr_core::CyberRange;
-use sgcr_net::{Ipv4Addr, SimDuration};
+use sgcr_net::{Ipv4Addr, NodeId, SimDuration};
 use sgcr_obs::{Event, OpenSpan, Plane};
 use sgcr_powerflow::{ScenarioEvent, SimulationSchedule};
 use std::collections::BTreeSet;
@@ -369,6 +369,16 @@ fn range_targets(range: &CyberRange) -> Targets {
             .node_names()
             .into_iter()
             .map(String::from)
+            .collect(),
+        ips: (0..range.net.node_count())
+            .map(NodeId)
+            .filter(|&node| range.net.is_host(node))
+            .map(|node| {
+                (
+                    range.net.host_ip(node),
+                    range.net.node_name(node).to_string(),
+                )
+            })
             .collect(),
         subnetworks: names(range.plan().switches.iter().map(|s| &s.name)),
         ieds: names(range.ieds.keys()),

@@ -98,6 +98,111 @@ fn measurements_flow_to_ied_models_and_scada() {
 }
 
 #[test]
+fn set_point_commands_move_loads_and_generators_at_the_next_step() {
+    let mut range = epic_range();
+    let load1 = range.power.load_by_name("EPIC/Load1").unwrap().index();
+    let load2 = range.power.load_by_name("EPIC/Load2").unwrap().index();
+    // Gen2 is a voltage-controlled (PV) generator, Battery1 a static one.
+    let gen2 = range.power.gen_by_name("EPIC/Gen2").unwrap().index();
+    let battery = range.power.sgen_by_name("EPIC/Battery1").unwrap().index();
+    let load2_before = range.power.load[load2].p_mw;
+    let battery_before = range.power.sgen[battery].p_mw;
+
+    range
+        .store
+        .set("cmd/EPIC/load/Load1/p_mw", Value::Float(0.012));
+    range
+        .store
+        .set("cmd/EPIC/gen/Gen2/p_mw", Value::Float(0.007));
+    // The `gen` class addresses static generators too; an integer is a
+    // valid set-point.
+    range.store.set("cmd/EPIC/gen/Battery1/p_mw", Value::Int(0));
+    // A set-point of the wrong type is ignored.
+    range
+        .store
+        .set("cmd/EPIC/load/Load2/p_mw", Value::Bool(true));
+    // Nothing moves before the power plane's next step.
+    assert!(range.power.load[load1].p_mw != 0.012);
+    assert!(range.power.gen[gen2].p_mw != 0.007);
+    assert_eq!(range.power.sgen[battery].p_mw, battery_before);
+
+    range.step();
+    assert_eq!(range.power.load[load1].p_mw, 0.012);
+    assert_eq!(range.power.gen[gen2].p_mw, 0.007);
+    assert_eq!(range.power.sgen[battery].p_mw, 0.0);
+    assert_ne!(battery_before, 0.0);
+    assert_eq!(range.power.load[load2].p_mw, load2_before);
+    assert_eq!(
+        range.store.get_float("meas/EPIC/src/Battery1/p_mw"),
+        Some(0.0)
+    );
+    assert_eq!(range.solve_errors_total(), 0);
+
+    // A command applies once: overriding the element afterwards sticks
+    // until the next command is written.
+    range.power.gen[gen2].p_mw = 0.009;
+    range.step();
+    assert_eq!(range.power.gen[gen2].p_mw, 0.009);
+    range
+        .store
+        .set("cmd/EPIC/gen/Gen2/p_mw", Value::Float(0.006));
+    range.step();
+    assert_eq!(range.power.gen[gen2].p_mw, 0.006);
+}
+
+/// The process-store key space of EPIC: every key the range writes while
+/// it runs, pinned so a change to the key grammar or to the published
+/// elements shows up here first.
+#[test]
+fn process_store_key_space_is_pinned() {
+    let mut range = epic_range();
+    for _ in 0..20 {
+        range.step();
+    }
+    let keys: Vec<String> = range.store.dump().into_iter().map(|(key, _)| key).collect();
+    let expected = [
+        "meas/EPIC/branch/LGen/i_ka",
+        "meas/EPIC/branch/LGen/loading",
+        "meas/EPIC/branch/LGen/p_mw",
+        "meas/EPIC/branch/LGen/q_mvar",
+        "meas/EPIC/branch/LHome/i_ka",
+        "meas/EPIC/branch/LHome/loading",
+        "meas/EPIC/branch/LHome/p_mw",
+        "meas/EPIC/branch/LHome/q_mvar",
+        "meas/EPIC/branch/LMicro/i_ka",
+        "meas/EPIC/branch/LMicro/loading",
+        "meas/EPIC/branch/LMicro/p_mw",
+        "meas/EPIC/branch/LMicro/q_mvar",
+        "meas/EPIC/bus/LV.GenBay.CN_GEN/va_deg",
+        "meas/EPIC/bus/LV.GenBay.CN_GEN/vm_pu",
+        "meas/EPIC/bus/LV.GenBay.CN_GEN_T/va_deg",
+        "meas/EPIC/bus/LV.GenBay.CN_GEN_T/vm_pu",
+        "meas/EPIC/bus/LV.HomeBay.CN_HOME/va_deg",
+        "meas/EPIC/bus/LV.HomeBay.CN_HOME/vm_pu",
+        "meas/EPIC/bus/LV.HomeBay.CN_HOME_T/va_deg",
+        "meas/EPIC/bus/LV.HomeBay.CN_HOME_T/vm_pu",
+        "meas/EPIC/bus/LV.MicroBay.CN_MICRO/va_deg",
+        "meas/EPIC/bus/LV.MicroBay.CN_MICRO/vm_pu",
+        "meas/EPIC/bus/LV.MicroBay.CN_MICRO_T/va_deg",
+        "meas/EPIC/bus/LV.MicroBay.CN_MICRO_T/vm_pu",
+        "meas/EPIC/bus/LV.TransBay.CN_TRANS/va_deg",
+        "meas/EPIC/bus/LV.TransBay.CN_TRANS/vm_pu",
+        "meas/EPIC/cb/CB_GEN/closed",
+        "meas/EPIC/cb/CB_HOME/closed",
+        "meas/EPIC/cb/CB_MICRO/closed",
+        "meas/EPIC/load/Load1/p_mw",
+        "meas/EPIC/load/Load2/p_mw",
+        "meas/EPIC/load/MicroLoad/p_mw",
+        "meas/EPIC/src/Battery1/p_mw",
+        "meas/EPIC/src/Gen1/p_mw",
+        "meas/EPIC/src/Gen2/p_mw",
+        "meas/EPIC/src/PV1/p_mw",
+        "sim/step",
+    ];
+    assert_eq!(keys, expected);
+}
+
+#[test]
 fn operator_command_travels_scada_plc_ied_power() {
     let mut range = epic_range();
     range.run_for(SimDuration::from_secs(2));
@@ -180,8 +285,7 @@ fn deterministic_across_runs() {
             })
             .collect();
         tags.sort();
-        let snapshot: Vec<(String, Value)> = range.store.snapshot();
-        (tags, snapshot.len())
+        (tags, range.store.dump().len())
     };
     let a = run();
     let b = run();

@@ -4,9 +4,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
-use sg_cyber_range::core::{CompiledModel, CyberRange, IedConfig, SgmlBundle};
+use sg_cyber_range::core::{keymap, CompiledModel, CyberRange, IedConfig, SgmlBundle};
 use sg_cyber_range::ied::{BreakerMap, IedSpec, MeasurementMap, ProtectionSpec, RsvSpec};
-use sg_cyber_range::kvstore::{Keys, Value};
+use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{multisub_bundle, MultiSubParams};
 use sg_cyber_range::net::SimDuration;
 
@@ -213,8 +213,9 @@ fn generator_breaker_maps_match_keymap() {
     let config = IedConfig::parse(bundle.ied_config.as_ref().unwrap()).unwrap();
     for spec in &config.ieds {
         for b in &spec.breakers {
-            assert_eq!(b.state_key, Keys::breaker_state(&spec.substation, &b.name));
-            assert_eq!(b.cmd_key, Keys::breaker_cmd(&spec.substation, &b.name));
+            let scoped = format!("{}/{}", spec.substation, b.name);
+            assert_eq!(b.state_key, keymap::breaker_state_key(&scoped));
+            assert_eq!(b.cmd_key, keymap::breaker_cmd_key(&scoped));
         }
     }
     // And the spec type stays constructible by hand (API stability).
@@ -223,8 +224,8 @@ fn generator_breaker_maps_match_keymap() {
         name: "CBX".into(),
         xcbr: "XCBR1".into(),
         cswi: "CSWI1".into(),
-        state_key: Keys::breaker_state("S9", "CBX"),
-        cmd_key: Keys::breaker_cmd("S9", "CBX"),
+        state_key: keymap::breaker_state_key("S9/CBX"),
+        cmd_key: keymap::breaker_cmd_key("S9/CBX"),
         interlocked: false,
     };
 }

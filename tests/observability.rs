@@ -179,7 +179,7 @@ fn disabled_telemetry_is_behaviorally_invisible() {
             })
             .collect();
         tags.sort();
-        (tags, range.steps_total(), range.store.snapshot().len())
+        (tags, range.steps_total(), range.store.dump().len())
     };
     let dark = run(Telemetry::disabled());
     let lit = run(Telemetry::new());

@@ -169,6 +169,17 @@ const MISFITS: &[(&str, &str, &[&str])] = &[
         &[BAD_HOST],
     ),
     (
+        "attacker address taken by a range host",
+        r#"<Host name="box" ip="10.0.1.11" switch="GenBus"/>"#,
+        &[BAD_HOST],
+    ),
+    (
+        "two attackers on one address",
+        r#"<Host name="box" ip="10.0.1.66" switch="GenBus"/>
+<Host name="box2" ip="10.0.1.66" switch="GenBus"/>"#,
+        &[BAD_HOST],
+    ),
+    (
         "unparsable sweep address",
         r#"<Host name="box" ip="10.0.1.66" switch="GenBus"/>
 <Stage id="recon" t="100" kind="scan" host="box" first="10.0.1.11" last="ten" ports="102"/>"#,

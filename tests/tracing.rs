@@ -148,7 +148,7 @@ fn tracing_is_behaviorally_invisible_and_deterministic() {
             })
             .collect();
         tags.sort();
-        (tags, range.steps_total(), range.store.snapshot().len())
+        (tags, range.steps_total(), range.store.dump().len())
     };
     let dark = run(Telemetry::disabled());
     let journal_only = run(Telemetry::new());
